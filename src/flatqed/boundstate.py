@@ -21,7 +21,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from flatqed.errors import InsufficientData, NoRootInGap
-from flatqed.greens import POLE_GUARD, eigensystem, resolvent_vector
+from flatqed.greens import (POLE_GUARD, eigensystem, resolvent_vector,
+                            self_energy)
 from flatqed.lattice import LatticeModel, site_index
 
 
@@ -106,13 +107,6 @@ class BoundStateResult:
     localization_length: float | None = field(default=None, compare=False)
 
 
-def _self_energy(model: LatticeModel, emitter: EmitterSpec,
-                 omega: float) -> float:
-    chi = emitter.chi(model.n_sites)
-    val = np.vdot(chi, resolvent_vector(model, omega, chi))
-    return float(val.real)
-
-
 def _gap_around(w: np.ndarray, omega0: float, J: float) -> tuple[float, float]:
     """Edges of the spectral gap containing omega0 (+-inf outside spectrum)."""
     below = w[w < omega0]
@@ -135,9 +129,10 @@ def solve_pole(model: LatticeModel, emitter: EmitterSpec) -> float:
     if math.isfinite(lo) and math.isfinite(hi) and hi - lo < 40 * guard:
         raise NoRootInGap("gap around omega0 narrower than the pole guard")
     g2 = emitter.gbar ** 2
+    sigma = self_energy(model, emitter.chi(model.n_sites))
 
     def F(omega: float) -> float:
-        return omega - emitter.omega0 - g2 * _self_energy(model, emitter, omega)
+        return omega - emitter.omega0 - g2 * sigma(omega)
 
     span = max(model.J, g2)
     if math.isfinite(lo):
@@ -169,8 +164,8 @@ def solve_pole(model: LatticeModel, emitter: EmitterSpec) -> float:
 def pole_residual(model: LatticeModel, emitter: EmitterSpec,
                   omega_bs: float) -> float:
     """|omega_BS - omega0 - gbar^2 <chi|G_B(omega_BS)|chi>|."""
-    g2 = emitter.gbar ** 2
-    return abs(omega_bs - emitter.omega0 - g2 * _self_energy(model, emitter, omega_bs))
+    sigma = self_energy(model, emitter.chi(model.n_sites))
+    return abs(omega_bs - emitter.omega0 - emitter.gbar ** 2 * sigma(omega_bs))
 
 
 def bs_wavefunction(model: LatticeModel, emitter: EmitterSpec,

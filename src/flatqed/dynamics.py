@@ -1,8 +1,9 @@
 """Exact single-excitation dynamics and vacuum Rabi analysis.
 
-The full emitters+bath single-excitation Hamiltonian is diagonalized once;
-time evolution is then exact at every requested time.  On resonance with an
-isolated flat band the atomic population oscillates as cos^2(Omega t) with
+The full emitters+bath single-excitation Hamiltonian is diagonalized once by
+:func:`propagate` (shared with the effective spin model); time evolution is
+then exact at every requested time.  On resonance with an isolated flat band
+the atomic population oscillates as cos^2(Omega t) with
 
     Omega = g sqrt(<chi| P_FB |chi>),
 
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from flatqed.boundstate import EmitterSpec, total_hamiltonian
-from flatqed.greens import fb_projector
+from flatqed.greens import fb_project, spectral_amplitudes, synthesize
 from flatqed.lattice import LatticeModel
 
 
@@ -30,6 +31,24 @@ class TimeSeries:
     atom_populations: np.ndarray       # shape (n_t, n_emitters)
     norm_residual: float
     photon_populations: np.ndarray | None = None   # shape (n_t, n_sites)
+
+
+def propagate(H: np.ndarray, c0: np.ndarray,
+              t_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Amplitudes exp(-i H t) c0 at every t, their populations (both of shape
+    (n_t, dim)), and the largest deviation of the total population from 1.
+
+    A Hermitian H without imaginary part is diagonalized as a real matrix,
+    and its real eigenvectors are never cast to complex."""
+    if not H.imag.any():
+        H = H.real
+    w, U = np.linalg.eigh(H)
+    amps = np.exp(-1j * np.outer(w, t_grid))       # (dim, n_t) coefficients
+    amps *= spectral_amplitudes(U, c0)[:, None]
+    amps = synthesize(U, amps).T
+    pops = amps.real ** 2
+    pops += amps.imag ** 2
+    return amps, pops, float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
 
 
 def evolve(model: LatticeModel, emitters: Sequence[EmitterSpec],
@@ -54,16 +73,11 @@ def evolve(model: LatticeModel, emitters: Sequence[EmitterSpec],
             raise ValueError(f"initial state must have length {dim}")
         c0 = c0 / np.linalg.norm(c0)
     t_grid = np.asarray(t_grid, dtype=float)
-    w, U = np.linalg.eigh(H)
-    proj = U.conj().T @ c0
-    phases = np.exp(-1j * np.outer(t_grid, w))
-    amps = (phases * proj[None, :]) @ U.T          # (n_t, dim)
-    pops = np.abs(amps) ** 2
-    norms = pops.sum(axis=1)
+    _amps, pops, norm_residual = propagate(H, c0, t_grid)
     return TimeSeries(
         t_grid=t_grid,
         atom_populations=pops[:, :n_e],
-        norm_residual=float(np.max(np.abs(norms - 1.0))),
+        norm_residual=norm_residual,
         photon_populations=pops[:, n_e:] if store_photons else None)
 
 
@@ -72,9 +86,8 @@ def rabi_frequency(model: LatticeModel, emitter: EmitterSpec,
     """Omega = gbar sqrt(<chi| P_FB |chi>) for an emitter resonant with the FB."""
     if omega_fb is None:
         omega_fb = emitter.omega0
-    P = fb_projector(model, omega_fb)
     chi = emitter.chi(model.n_sites)
-    weight = float(np.vdot(chi, P.P @ chi).real)
+    weight = float(np.vdot(chi, fb_project(model, omega_fb, chi)).real)
     return emitter.gbar * math.sqrt(max(weight, 0.0))
 
 

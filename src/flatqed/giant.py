@@ -17,9 +17,9 @@ import numpy as np
 
 from flatqed.boundstate import BoundStateResult, EmitterSpec, bs_wavefunction
 from flatqed.flatband import ClsSet, cls_set, cls_vector
-from flatqed.greens import fb_projector
+from flatqed.greens import fb_project
 from flatqed.interactions import InteractionMatrix
-from flatqed.lattice import LatticeModel, site_index
+from flatqed.lattice import LatticeModel
 
 ENVELOPE_CUTOFF = 1e-12
 FB_MEMBERSHIP_TOL = 1e-8
@@ -120,9 +120,8 @@ def envelope_emitter(model: LatticeModel, omega0: float, g: float,
 def fb_membership_defect(model: LatticeModel, emitter: EmitterSpec,
                          omega_fb: float) -> float:
     """|| (1 - P_FB) chi ||: zero iff chi lies in the flat-band eigenspace."""
-    P = fb_projector(model, omega_fb)
     chi = emitter.chi(model.n_sites)
-    return float(np.linalg.norm(chi - P.P @ chi))
+    return float(np.linalg.norm(chi - fb_project(model, omega_fb, chi)))
 
 
 def giant_bound_state(model: LatticeModel, emitter: EmitterSpec,
@@ -176,9 +175,3 @@ def giant_interaction(model: LatticeModel, emitters: Sequence[EmitterSpec],
         emitters=emitters, K=K,
         convention="flat-band-only: K = gbar^2/(omega0-omega_FB) <chi_n|chi_n'>")
 
-
-def single_site_emitter(model: LatticeModel, omega0: float, g: float,
-                        cell: Sequence[int] | int, sub: str | int) -> EmitterSpec:
-    """Small-atom convenience wrapper (one coupling)."""
-    return EmitterSpec(omega0=float(omega0),
-                       couplings=((site_index(model, cell, sub), complex(g)),))

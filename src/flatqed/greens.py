@@ -1,8 +1,13 @@
 """Bath resolvent G_B(omega), flat-band projector, and the FB approximation.
 
-The eigendecomposition of each model's real-space Hamiltonian is computed once
-and cached (models are immutable and hashable), after which resolvent and
-projector evaluations are cheap.
+The eigendecomposition H = U diag(w) U^H of each model's real-space
+Hamiltonian is computed once and cached (models are immutable and hashable).
+Every consumer then works on the spectral amplitudes c = U^H chi of its site
+state: G_B(omega)|chi> = U (c / (omega - w)) costs two matvecs, and the
+self-energy <chi|G_B(omega)|chi> = sum_a |c_a|^2 / (omega - w_a) costs O(N)
+per evaluation once the weights |c_a|^2 are known.  Builders with real
+hoppings give a real U, which is never cast to complex: complex vectors are
+split into real and imaginary parts instead.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -48,12 +54,60 @@ def _check_pole(model: LatticeModel, omega: float, w: np.ndarray) -> None:
             f"omega = {omega} within {guard} of a bath eigenvalue")
 
 
+def spectral_amplitudes(U: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """c = U^H chi for a vector or a matrix of column vectors chi.
+
+    A real U is never cast to complex: a complex chi is split into real and
+    imaginary parts, and the imaginary product is skipped when it vanishes
+    (the result is then real)."""
+    if np.iscomplexobj(U):
+        return U.conj().T @ chi
+    chi = np.asarray(chi)
+    if not np.iscomplexobj(chi):
+        return U.T @ chi
+    c = U.T @ chi.real
+    if chi.imag.any():
+        return c + 1j * (U.T @ chi.imag)
+    return c
+
+
+def synthesize(U: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """U c as a complex array, for a vector or a matrix of columns c.
+
+    A real U multiplies the real and imaginary parts of c in one real
+    product (the interleaved real view of c), so it is never cast to
+    complex."""
+    if np.iscomplexobj(U):
+        return U @ c
+    if not np.iscomplexobj(c):
+        return (U @ c).astype(complex)
+    c = np.ascontiguousarray(c)
+    cols = c.reshape(c.shape[0], -1).view(float)
+    return (U @ cols).view(complex).reshape((U.shape[0],) + c.shape[1:])
+
+
 def resolvent_vector(model: LatticeModel, omega: float,
                      chi: np.ndarray) -> np.ndarray:
     """G_B(omega) |chi> for an arbitrary site-space vector |chi>."""
     w, U = eigensystem(model)
     _check_pole(model, omega, w)
-    return U @ ((U.conj().T @ chi) / (omega - w))
+    return synthesize(U, spectral_amplitudes(U, chi) / (omega - w))
+
+
+def self_energy(model: LatticeModel,
+                chi: np.ndarray) -> Callable[[float], float]:
+    """omega -> <chi| G_B(omega) |chi> = sum_a |c_a|^2 / (omega - w_a).
+
+    The spectral weights |c_a|^2 are computed once; each evaluation of the
+    returned function is an O(N) sum and still enforces the pole guard."""
+    w, U = eigensystem(model)
+    weights = np.abs(spectral_amplitudes(U, chi)) ** 2
+
+    def sigma(omega: float) -> float:
+        _check_pole(model, omega, w)
+        return float(np.sum(weights / (omega - w)))
+
+    return sigma
 
 
 def resolvent_element(model: LatticeModel, omega: float,
@@ -77,16 +131,32 @@ def chain_green_analytic(J: float, delta: float, d: int) -> float:
     return -((-1) ** (d % 2)) / (2.0 * math.sqrt(J * delta)) * math.exp(-abs(d) / lam)
 
 
+def _fb_columns(model: LatticeModel, omega_fb: float, tol: float) -> np.ndarray:
+    """Eigenvectors of all states within ``tol * J`` of omega_fb.
+
+    The eigenvalues are sorted, so the selection is one contiguous slice of
+    U (a view, not a copy)."""
+    w, U = eigensystem(model)
+    sel = np.flatnonzero(np.abs(w - omega_fb) < tol * model.J)
+    if not sel.size:
+        raise NoFlatBand(
+            f"no eigenvalues within {tol * model.J} of omega = {omega_fb}")
+    return U[:, sel[0]:sel[-1] + 1]
+
+
 def fb_projector(model: LatticeModel, omega_fb: float,
                  tol: float = 1e-8) -> FlatBandProjector:
     """Sum of eigenprojectors of all states within ``tol * J`` of omega_fb."""
-    w, U = eigensystem(model)
-    sel = np.abs(w - omega_fb) < tol * model.J
-    if not np.any(sel):
-        raise NoFlatBand(
-            f"no eigenvalues within {tol * model.J} of omega = {omega_fb}")
-    V = U[:, sel]
+    V = _fb_columns(model, omega_fb, tol)
     return FlatBandProjector(P=V @ V.conj().T, omega_fb=float(omega_fb), tol=tol)
+
+
+def fb_project(model: LatticeModel, omega_fb: float, chi: np.ndarray,
+               tol: float = 1e-8) -> np.ndarray:
+    """P_FB |chi> = V (V^H chi) without forming the N x N projector; the
+    states are selected as in :func:`fb_projector`."""
+    V = _fb_columns(model, omega_fb, tol)
+    return synthesize(V, spectral_amplitudes(V, chi))
 
 
 def fb_green_approx(P: FlatBandProjector, omega: float) -> np.ndarray:

@@ -19,7 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from flatqed.boundstate import EmitterSpec, solve_pole
-from flatqed.greens import resolvent_vector
+from flatqed.dynamics import propagate
+from flatqed.greens import _check_pole, eigensystem, spectral_amplitudes
 from flatqed.lattice import LatticeModel
 
 
@@ -73,14 +74,17 @@ def interaction_matrix(model: LatticeModel, emitters: Sequence[EmitterSpec],
             raise ValueError("interaction_matrix requires a common omega0")
         if abs(em.gbar - gbar) > 1e-12 * gbar:
             raise ValueError("interaction_matrix requires identical |g|")
-    n = len(emitters)
-    chis = np.column_stack([em.chi(model.n_sites) for em in emitters])
-    K = np.empty((n, n), dtype=complex)
-    for j, em in enumerate(emitters):
-        omega = solve_pole(model, em) if exact_pole else omega0
-        psi_j = gbar * resolvent_vector(model, omega, chis[:, j])
-        K[:, j] = gbar * (chis.conj().T @ psi_j)
-    return InteractionMatrix(emitters=emitters, K=K, exact_pole=exact_pole)
+    w, U = eigensystem(model)
+    C = spectral_amplitudes(
+        U, np.column_stack([em.chi(model.n_sites) for em in emitters]))
+    omegas = np.array([solve_pole(model, em) if exact_pole else omega0
+                       for em in emitters])
+    for omega in omegas:
+        _check_pole(model, float(omega), w)
+    # K_ij = gbar^2 sum_a conj(C_ai) C_aj / (omega_j - w_a)
+    K = gbar ** 2 * (C.conj().T @ (C / (omegas[None, :] - w[:, None])))
+    return InteractionMatrix(emitters=emitters, K=K.astype(complex),
+                             exact_pole=exact_pole)
 
 
 def effective_hamiltonian(K: InteractionMatrix | np.ndarray) -> np.ndarray:
@@ -94,7 +98,7 @@ def effective_hamiltonian(K: InteractionMatrix | np.ndarray) -> np.ndarray:
 
 def spin_dynamics(H_eff: np.ndarray, initial: int | np.ndarray,
                   t_grid: np.ndarray) -> SpinTrace:
-    """Exact c(t) = exp(-i H_eff t) c(0) via eigendecomposition."""
+    """Exact c(t) = exp(-i H_eff t) c(0) via :func:`flatqed.dynamics.propagate`."""
     H_eff = np.asarray(H_eff, dtype=complex)
     if np.max(np.abs(H_eff - H_eff.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(H_eff))):
         raise ValueError("H_eff must be Hermitian")
@@ -106,13 +110,8 @@ def spin_dynamics(H_eff: np.ndarray, initial: int | np.ndarray,
         c0 = np.asarray(initial, dtype=complex)
         c0 = c0 / np.linalg.norm(c0)
     t_grid = np.asarray(t_grid, dtype=float)
-    w, U = np.linalg.eigh(H_eff)
-    proj = U.conj().T @ c0
-    phases = np.exp(-1j * np.outer(t_grid, w))
-    amps = (phases * proj[None, :]) @ U.T
-    norms = np.sum(np.abs(amps) ** 2, axis=1)
-    return SpinTrace(t_grid=t_grid, amplitudes=amps,
-                     norm_residual=float(np.max(np.abs(norms - 1.0))))
+    amps, _pops, norm_residual = propagate(H_eff, c0, t_grid)
+    return SpinTrace(t_grid=t_grid, amplitudes=amps, norm_residual=norm_residual)
 
 
 def kappa_couplings(g: float, delta_fb: float, Delta: float) -> tuple[float, float]:

@@ -340,8 +340,12 @@ def real_space_hamiltonian(model: LatticeModel) -> np.ndarray:
     return H
 
 
-def bloch_hamiltonian(model: LatticeModel, k: float | Sequence[float]) -> np.ndarray:
+def bloch_hamiltonian(model: LatticeModel,
+                      k: float | Sequence[float] | np.ndarray) -> np.ndarray:
     """Q x Q Bloch Hamiltonian at wavevector k (components in [-pi, pi)).
+
+    ``k`` has shape (D,) (a scalar is accepted in 1D) or, for a batch of
+    wavevectors, (..., D); the result then has shape (..., Q, Q).
 
     Convention: a hopping ``amp * a^dag_{nu,n} a_{nup,n+off}`` contributes
     ``amp * exp(-i k . off)`` to ``H_k[nu, nup]`` (plus Hermitian conjugate),
@@ -350,14 +354,18 @@ def bloch_hamiltonian(model: LatticeModel, k: float | Sequence[float]) -> np.nda
     """
     if model.disorder is not None:
         raise UnsupportedLattice("Bloch Hamiltonian undefined for disordered models")
-    kv = np.atleast_1d(np.asarray(k, dtype=float))
-    if kv.shape != (model.dim,):
+    kv = np.asarray(k, dtype=float)
+    if kv.ndim == 0:
+        kv = kv[None]
+    if kv.shape[-1] != model.dim:
         raise ConfigError("wavevector dimension mismatch")
-    H = np.diag(np.asarray(model.onsite, dtype=complex))
+    H = np.zeros(kv.shape[:-1] + (model.Q, model.Q), dtype=complex)
+    for s, eps in enumerate(model.onsite):
+        H[..., s, s] = eps
     for nu, nup, off, amp in model.hoppings:
-        phase = np.exp(-1j * float(np.dot(kv, off)))
-        H[nu, nup] += amp * phase
-        H[nup, nu] += np.conj(amp * phase)
+        phase = np.exp(-1j * (kv @ np.asarray(off, dtype=float)))
+        H[..., nu, nup] += amp * phase
+        H[..., nup, nu] += np.conj(amp * phase)
     return H
 
 

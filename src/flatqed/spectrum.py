@@ -52,20 +52,16 @@ def default_k_grid(model: LatticeModel) -> np.ndarray:
 
 
 def band_structure(model: LatticeModel, k_grid: np.ndarray | None = None) -> BandStructure:
-    """Diagonalize the Bloch Hamiltonian on each point of the grid."""
+    """Diagonalize the Bloch Hamiltonian on every point of the grid in one
+    batched ``eigh``."""
     if k_grid is None:
         k_grid = default_k_grid(model)
     k_grid = np.atleast_2d(np.asarray(k_grid, dtype=float))
     if k_grid.size == 0:
         raise ValueError("empty k-grid")
-    n_k = k_grid.shape[0]
-    bands = np.empty((model.Q, n_k))
-    vecs = np.empty((n_k, model.Q, model.Q), dtype=complex)
-    for i, k in enumerate(k_grid):
-        w, U = np.linalg.eigh(bloch_hamiltonian(model, k))
-        bands[:, i] = w
-        vecs[i] = U
-    return BandStructure(k_grid=k_grid, bands=bands, eigenvectors=vecs)
+    w, vecs = np.linalg.eigh(bloch_hamiltonian(model, k_grid))
+    return BandStructure(k_grid=k_grid, bands=np.ascontiguousarray(w.T),
+                         eigenvectors=vecs)
 
 
 def detect_flat_bands(bs: BandStructure, tol: float = DEFAULT_FLATNESS_TOL) -> list[FlatBandInfo]:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from flatqed.boundstate import EmitterSpec, small_atom
-from flatqed.dynamics import (evolve, fit_rabi_frequency, rabi_frequency)
+from flatqed.boundstate import EmitterSpec, small_atom, total_hamiltonian
+from flatqed.dynamics import (evolve, fit_rabi_frequency, propagate,
+                              rabi_frequency)
 from flatqed.giant import cls_emitter
 from flatqed.lattice import build_chain, build_sawtooth, build_stub
 
@@ -104,3 +106,28 @@ def test_fit_requires_minimum():
     ts = evolve(model, [em], 0, np.linspace(0, 1.0, 11))  # << Rabi period
     with pytest.raises(ValueError):
         fit_rabi_frequency(ts)
+
+
+def test_propagate_real_and_complex_paths_agree():
+    """A diagonal gauge D H D^dag makes the Hamiltonian complex without
+    changing site populations: the real path (eigh of H.real) and the
+    complex path must agree, conserve the norm, and match expm."""
+    model = build_sawtooth(8)
+    em = small_atom(model, -1.9, 0.1, 4, "a")
+    H = total_hamiltonian(model, [em])
+    dim = H.shape[0]
+    phase = np.exp(1j * np.linspace(0.0, 2.0, dim))
+    H_gauge = phase[:, None] * H * phase.conj()[None, :]
+    assert not H.imag.any() and H_gauge.imag.any()
+    c0 = np.zeros(dim, dtype=complex)
+    c0[[0, 3]] = (0.6, 0.8j)
+    t = np.linspace(0.0, 30.0, 61)
+    amps, pops, res = propagate(H, c0, t)
+    amps_g, pops_g, res_g = propagate(H_gauge, phase * c0, t)
+    assert res < 1e-12 and res_g < 1e-12
+    assert np.max(np.abs(pops - pops_g)) < 1e-12
+    assert np.max(np.abs(pops - np.abs(amps) ** 2)) < 1e-15
+    for i in (7, 60):
+        exact = expm(-1j * H * t[i]) @ c0
+        assert np.max(np.abs(amps[i] - exact)) < 1e-10
+        assert np.max(np.abs(amps_g[i] - phase * exact)) < 1e-10

@@ -48,6 +48,48 @@ def test_bloch_hermitian(k):
     assert np.max(np.abs(H - H.conj().T)) < 1e-14
 
 
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_bloch_batch_equals_per_k_calls(model):
+    """A batch of wavevectors gives bit for bit the stack of per-k calls."""
+    from flatqed.spectrum import default_k_grid
+
+    rng = np.random.default_rng(3)
+    ks = np.concatenate([default_k_grid(model),
+                         rng.uniform(-np.pi, np.pi, size=(7, model.dim))])
+    H = bloch_hamiltonian(model, ks)
+    assert H.shape == (len(ks), model.Q, model.Q)
+    assert np.array_equal(H, np.stack([bloch_hamiltonian(model, k) for k in ks]))
+    grid = ks[:6].reshape(2, 3, model.dim)
+    assert np.array_equal(bloch_hamiltonian(model, grid),
+                          H[:6].reshape(2, 3, model.Q, model.Q))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_band_structure_equals_per_k_eigh(model):
+    """The batched eigh reproduces the per-k loop bit for bit."""
+    from flatqed.spectrum import band_structure, default_k_grid
+
+    ks = default_k_grid(model)
+    bs = band_structure(model, ks)
+    for i, k in enumerate(ks):
+        w, U = np.linalg.eigh(bloch_hamiltonian(model, k))
+        assert np.array_equal(bs.bands[:, i], w)
+        assert np.array_equal(bs.eigenvectors[i], U)
+
+
+def test_bloch_shape_errors():
+    chain, board = build_chain(10), build_checkerboard(5, 4)
+    assert bloch_hamiltonian(chain, 0.3).shape == (1, 1)
+    assert bloch_hamiltonian(chain, np.zeros((4, 1))).shape == (4, 1, 1)
+    for model, k in ((chain, [0.1, 0.2]), (chain, np.zeros((4, 2))),
+                     (board, 0.3), (board, np.zeros((4, 3))), (board, np.zeros(0))):
+        with pytest.raises(ConfigError):
+            bloch_hamiltonian(model, k)
+    dis = apply_disorder(build_stub(8), DisorderSpec("diagonal", 0.1, seed=0))
+    with pytest.raises(UnsupportedLattice):
+        bloch_hamiltonian(dis, np.zeros((4, 1)))
+
+
 def test_chain_sizes():
     assert build_chain(1).n_sites == 1
     with pytest.raises(ConfigError):
