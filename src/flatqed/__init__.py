@@ -43,13 +43,9 @@ from flatqed.greens import (
     chain_green_analytic,
     eigensystem,
     fb_green_approx,
-    fb_project,
     fb_projector,
     resolvent_element,
     resolvent_vector,
-    self_energy,
-    spectral_amplitudes,
-    synthesize,
 )
 from flatqed.flatband import (
     ClsSet,
@@ -92,7 +88,6 @@ from flatqed.dynamics import (
     TimeSeries,
     evolve,
     fit_rabi_frequency,
-    propagate,
     rabi_frequency,
 )
 

@@ -34,9 +34,9 @@ class TimeSeries:
 
 
 def propagate(H: np.ndarray, c0: np.ndarray,
-              t_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Amplitudes exp(-i H t) c0 at every t, their populations (both of shape
-    (n_t, dim)), and the largest deviation of the total population from 1.
+              t_grid: np.ndarray) -> tuple[np.ndarray, float]:
+    """Amplitudes exp(-i H t) c0 at every t, of shape (n_t, dim), and the
+    largest deviation of their squared norm from 1.
 
     A Hermitian H without imaginary part is diagonalized as a real matrix,
     and its real eigenvectors are never cast to complex."""
@@ -46,9 +46,9 @@ def propagate(H: np.ndarray, c0: np.ndarray,
     amps = np.exp(-1j * np.outer(w, t_grid))       # (dim, n_t) coefficients
     amps *= spectral_amplitudes(U, c0)[:, None]
     amps = synthesize(U, amps).T
-    pops = amps.real ** 2
-    pops += amps.imag ** 2
-    return amps, pops, float(np.max(np.abs(pops.sum(axis=1) - 1.0)))
+    norms = np.einsum("ij,ij->i", amps.real, amps.real)
+    norms += np.einsum("ij,ij->i", amps.imag, amps.imag)
+    return amps, float(np.max(np.abs(norms - 1.0)))
 
 
 def evolve(model: LatticeModel, emitters: Sequence[EmitterSpec],
@@ -73,12 +73,12 @@ def evolve(model: LatticeModel, emitters: Sequence[EmitterSpec],
             raise ValueError(f"initial state must have length {dim}")
         c0 = c0 / np.linalg.norm(c0)
     t_grid = np.asarray(t_grid, dtype=float)
-    _amps, pops, norm_residual = propagate(H, c0, t_grid)
+    amps, norm_residual = propagate(H, c0, t_grid)
     return TimeSeries(
         t_grid=t_grid,
-        atom_populations=pops[:, :n_e],
+        atom_populations=np.abs(amps[:, :n_e]) ** 2,
         norm_residual=norm_residual,
-        photon_populations=pops[:, n_e:] if store_photons else None)
+        photon_populations=np.abs(amps[:, n_e:]) ** 2 if store_photons else None)
 
 
 def rabi_frequency(model: LatticeModel, emitter: EmitterSpec,

@@ -23,6 +23,7 @@ from flatqed.errors import NoFlatBand, PoleProximity
 from flatqed.lattice import LatticeModel, real_space_hamiltonian
 
 POLE_GUARD = 1e-12  # in units of J
+FB_TOL = 1e-8       # flat-band selection window, in units of J
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,6 @@ def spectral_amplitudes(U: np.ndarray, chi: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(U):
         return U.conj().T @ chi
     chi = np.asarray(chi)
-    if not np.iscomplexobj(chi):
-        return U.T @ chi
     c = U.T @ chi.real
     if chi.imag.any():
         return c + 1j * (U.T @ chi.imag)
@@ -110,6 +109,21 @@ def self_energy(model: LatticeModel,
     return sigma
 
 
+def resolvent_form(model: LatticeModel, omegas: np.ndarray,
+                   chis: np.ndarray) -> np.ndarray:
+    """M_ij = <chi_i| G_B(omega_j) |chi_j> for the columns chi_j of ``chis``.
+
+    One amplitude matrix C = U^H [chi_1 ... chi_n] serves every entry:
+    M_ij = sum_a conj(C_ai) C_aj / (omega_j - w_a).  Each omega_j is checked
+    against the pole guard."""
+    w, U = eigensystem(model)
+    omegas = np.asarray(omegas, dtype=float)
+    for omega in omegas:
+        _check_pole(model, float(omega), w)
+    C = spectral_amplitudes(U, chis)
+    return C.conj().T @ (C / (omegas[None, :] - w[:, None]))
+
+
 def resolvent_element(model: LatticeModel, omega: float,
                       x: int, xp: int) -> complex:
     """<x| G_B(omega) |x'> = sum_a u_a(x) u_a*(x') / (omega - e_a)."""
@@ -145,17 +159,17 @@ def _fb_columns(model: LatticeModel, omega_fb: float, tol: float) -> np.ndarray:
 
 
 def fb_projector(model: LatticeModel, omega_fb: float,
-                 tol: float = 1e-8) -> FlatBandProjector:
+                 tol: float = FB_TOL) -> FlatBandProjector:
     """Sum of eigenprojectors of all states within ``tol * J`` of omega_fb."""
     V = _fb_columns(model, omega_fb, tol)
     return FlatBandProjector(P=V @ V.conj().T, omega_fb=float(omega_fb), tol=tol)
 
 
-def fb_project(model: LatticeModel, omega_fb: float, chi: np.ndarray,
-               tol: float = 1e-8) -> np.ndarray:
+def fb_project(model: LatticeModel, omega_fb: float,
+               chi: np.ndarray) -> np.ndarray:
     """P_FB |chi> = V (V^H chi) without forming the N x N projector; the
-    states are selected as in :func:`fb_projector`."""
-    V = _fb_columns(model, omega_fb, tol)
+    states are those of :func:`fb_projector` at its default window."""
+    V = _fb_columns(model, omega_fb, FB_TOL)
     return synthesize(V, spectral_amplitudes(V, chi))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from flatqed.boundstate import EmitterSpec, solve_pole
 from flatqed.dynamics import propagate
-from flatqed.greens import _check_pole, eigensystem, spectral_amplitudes
+from flatqed.greens import resolvent_form
 from flatqed.lattice import LatticeModel
 
 
@@ -74,15 +74,10 @@ def interaction_matrix(model: LatticeModel, emitters: Sequence[EmitterSpec],
             raise ValueError("interaction_matrix requires a common omega0")
         if abs(em.gbar - gbar) > 1e-12 * gbar:
             raise ValueError("interaction_matrix requires identical |g|")
-    w, U = eigensystem(model)
-    C = spectral_amplitudes(
-        U, np.column_stack([em.chi(model.n_sites) for em in emitters]))
-    omegas = np.array([solve_pole(model, em) if exact_pole else omega0
-                       for em in emitters])
-    for omega in omegas:
-        _check_pole(model, float(omega), w)
-    # K_ij = gbar^2 sum_a conj(C_ai) C_aj / (omega_j - w_a)
-    K = gbar ** 2 * (C.conj().T @ (C / (omegas[None, :] - w[:, None])))
+    chis = np.column_stack([em.chi(model.n_sites) for em in emitters])
+    omegas = [solve_pole(model, em) if exact_pole else omega0
+              for em in emitters]
+    K = gbar ** 2 * resolvent_form(model, omegas, chis)
     return InteractionMatrix(emitters=emitters, K=K.astype(complex),
                              exact_pole=exact_pole)
 
@@ -110,7 +105,7 @@ def spin_dynamics(H_eff: np.ndarray, initial: int | np.ndarray,
         c0 = np.asarray(initial, dtype=complex)
         c0 = c0 / np.linalg.norm(c0)
     t_grid = np.asarray(t_grid, dtype=float)
-    amps, _pops, norm_residual = propagate(H_eff, c0, t_grid)
+    amps, norm_residual = propagate(H_eff, c0, t_grid)
     return SpinTrace(t_grid=t_grid, amplitudes=amps, norm_residual=norm_residual)
 
 

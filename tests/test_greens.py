@@ -11,7 +11,8 @@ from flatqed.interactions import interaction_matrix
 from flatqed.errors import NoFlatBand, PoleProximity
 from flatqed.greens import (POLE_GUARD, chain_green_analytic, eigensystem,
                             fb_green_approx, fb_project, fb_projector,
-                            resolvent_element, resolvent_vector, self_energy)
+                            resolvent_element, resolvent_form,
+                            resolvent_vector, self_energy)
 from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
                              build_chain, build_double_comb, build_sawtooth,
                              build_stub, real_space_hamiltonian)
@@ -233,8 +234,8 @@ def test_fb_project_missing_band():
 @given(model=seam_model, index=st.integers(0, 11), frac=st.floats(-0.99, 0.99))
 @settings(max_examples=30, deadline=None)
 def test_pole_guard_on_every_path(model, index, frac):
-    """Inside POLE_GUARD of an eigenvalue the resolvent and every evaluation
-    of the self-energy closure raise PoleProximity."""
+    """Inside POLE_GUARD of an eigenvalue the resolvent, the resolvent form
+    and every evaluation of the self-energy closure raise PoleProximity."""
     w, _U = eigensystem(model)
     omega = float(w[index]) + frac * POLE_GUARD * model.J
     chi = _site_vector(model, index, True)
@@ -243,3 +244,5 @@ def test_pole_guard_on_every_path(model, index, frac):
         resolvent_vector(model, omega, chi)
     with pytest.raises(PoleProximity):
         sigma(omega)
+    with pytest.raises(PoleProximity):
+        resolvent_form(model, [omega], chi[:, None])
