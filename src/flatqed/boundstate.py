@@ -21,8 +21,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from flatqed.errors import InsufficientData, NoRootInGap
-from flatqed.greens import (POLE_GUARD, eigensystem, resolvent_vector,
-                            self_energy)
+from flatqed.greens import (POLE_GUARD, resolvent_vector, self_energy,
+                            spectral_basis)
 from flatqed.lattice import LatticeModel, site_index
 
 
@@ -66,7 +66,7 @@ def omega0_for_detuning(model: LatticeModel, delta: float,
     omega0 a distance delta below the bottom of the spectrum."""
     if delta <= 0:
         raise ValueError("detuning must be positive")
-    w, _U = eigensystem(model)
+    w = spectral_basis(model).w
     if reference == "lower_edge":
         return float(w.min()) - delta
     if reference != "fb":
@@ -123,7 +123,7 @@ def solve_pole(model: LatticeModel, emitter: EmitterSpec) -> float:
     F is strictly increasing in a gap (F' = 1 + gbar^2 <chi|G^2|chi> > 1), so
     the root is unique when it exists.  Raises :class:`NoRootInGap` if F does
     not change sign between the inward-shifted gap edges."""
-    w, _U = eigensystem(model)
+    w = spectral_basis(model).w
     guard = POLE_GUARD * model.J
     lo, hi = _gap_around(w, emitter.omega0, model.J)
     if math.isfinite(lo) and math.isfinite(hi) and hi - lo < 40 * guard:

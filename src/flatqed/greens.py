@@ -1,29 +1,40 @@
 """Bath resolvent G_B(omega), flat-band projector, and the FB approximation.
 
-The eigendecomposition H = U diag(w) U^H of each model's real-space
-Hamiltonian is computed once and cached (models are immutable and hashable).
-Every consumer then works on the spectral amplitudes c = U^H chi of its site
-state: G_B(omega)|chi> = U (c / (omega - w)) costs two matvecs, and the
-self-energy <chi|G_B(omega)|chi> = sum_a |c_a|^2 / (omega - w_a) costs O(N)
-per evaluation once the weights |c_a|^2 are known.  Builders with real
-hoppings give a real U, which is never cast to complex: complex vectors are
-split into real and imaginary parts instead.
+Every consumer reaches the bath through one seam: a spectral basis of the
+model's Hamiltonian, H = U diag(w) U^H, with the maps chi -> c = U^H chi
+(amplitudes) and c -> U c (synthesis).  G_B(omega)|chi> = U (c / (omega - w))
+costs one amplitude and one synthesis, and the self-energy
+<chi|G_B(omega)|chi> = sum_a |c_a|^2 / (omega - w_a) costs O(N) per
+evaluation once the weights |c_a|^2 are known.
+
+:func:`spectral_basis` picks the basis.  Disordered models, and clean models
+with at most ``DENSE_MAX_SITES`` sites, use the cached dense ``eigh`` of the
+real-space Hamiltonian (:func:`eigensystem`); builders with real hoppings
+give a real U, which is never cast to complex (complex vectors are split into
+real and imaginary parts).  Larger clean models use the Bloch basis
+(:func:`bloch_basis`): one batched ``eigh`` of the Q x Q Bloch blocks on the
+commensurate k-grid, reached from site space by FFTs over the cell axes, so
+no N x N matrix is ever formed (lattice Green's functions as Bloch sums;
+Economou, *Green's Functions in Quantum Physics*).  The dense eigensystem
+stays the oracle and the basis of the flat-band projector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
 
 from flatqed.errors import NoFlatBand, PoleProximity
 from flatqed.lattice import LatticeModel, real_space_hamiltonian
+from flatqed.spectrum import band_structure
 
-POLE_GUARD = 1e-12  # in units of J
-FB_TOL = 1e-8       # flat-band selection window, in units of J
+POLE_GUARD = 1e-12     # in units of J
+FB_TOL = 1e-8          # flat-band selection window, in units of J
+DENSE_MAX_SITES = 1024  # clean models above this size use the Bloch basis
 
 
 @dataclass(frozen=True)
@@ -39,7 +50,7 @@ class FlatBandProjector:
         return int(round(np.trace(self.P).real))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=4)
 def eigensystem(model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
     """Cached (eigenvalues, eigenvectors) of the real-space Hamiltonian."""
     w, U = np.linalg.eigh(real_space_hamiltonian(model))
@@ -85,12 +96,77 @@ def synthesize(U: np.ndarray, c: np.ndarray) -> np.ndarray:
     return (U @ cols).view(complex).reshape((U.shape[0],) + c.shape[1:])
 
 
+@dataclass(frozen=True)
+class SpectralBasis:
+    """An orthonormal eigenbasis of the bath Hamiltonian.
+
+    ``w[a]`` is the energy of basis state a; ``amplitudes`` maps a site
+    vector (or a matrix of site columns) to c = U^H chi and ``synthesize``
+    maps amplitudes back to site space, U c (always complex)."""
+
+    w: np.ndarray
+    amplitudes: Callable[[np.ndarray], np.ndarray]
+    synthesize: Callable[[np.ndarray], np.ndarray]
+
+
+@lru_cache(maxsize=4)
+def bloch_basis(model: LatticeModel) -> SpectralBasis:
+    """Eigenbasis of a clean model from its Bloch blocks on the commensurate
+    k-grid (one batched ``eigh``, cached per model like :func:`eigensystem`;
+    an entry holds O(Q N) numbers, not N^2).
+
+    With the phase convention of ``bloch_hamiltonian``, basis state (k, m)
+    is e^{-ik.n} u_k[:, m] / sqrt(N_cells) on cell n; its index is
+    k * Q + m, k running over ``default_k_grid``.  Amplitudes are an inverse
+    FFT over the cell axes followed by u_k^H; synthesis is u_k followed by an
+    FFT (both unitary, ``norm="ortho"``)."""
+    bs = band_structure(model)
+    u = bs.eigenvectors                                   # (n_k, Q, Q)
+    u_conj = u.conj()
+    w = np.ascontiguousarray(bs.bands.T).reshape(-1)
+    w.setflags(write=False)
+    cells, Q = model.shape, model.Q
+    axes = tuple(range(model.dim))
+
+    def amplitudes(chi: np.ndarray) -> np.ndarray:
+        chi = np.asarray(chi)
+        cols = chi.shape[1:]
+        xk = np.fft.ifftn(chi.reshape(cells + (Q,) + cols), axes=axes,
+                          norm="ortho")
+        c = np.einsum("kvm,kv...->km...", u_conj, xk.reshape((-1, Q) + cols))
+        return c.reshape((-1,) + cols)
+
+    def synthesize_bloch(c: np.ndarray) -> np.ndarray:
+        cols = c.shape[1:]
+        x = np.einsum("kvm,km...->kv...", u, c.reshape((-1, Q) + cols))
+        psi = np.fft.fftn(x.reshape(cells + (Q,) + cols), axes=axes,
+                          norm="ortho")
+        return psi.reshape((model.n_sites,) + cols)
+
+    return SpectralBasis(w, amplitudes, synthesize_bloch)
+
+
+def spectral_basis(model: LatticeModel) -> SpectralBasis:
+    """The basis the seam uses: Bloch for clean models above
+    ``DENSE_MAX_SITES`` sites, the dense eigensystem otherwise.
+
+    Small models stay dense although both bases agree to round-off: the
+    recorded 1D results (``benchmarks/golden.json``) fit tails down to
+    ``boundstate.AMPLITUDE_FLOOR``, where psi is eigh round-off, so a change
+    of basis there moves fitted lengths by up to ~1e-3 relative."""
+    if model.disorder is None and model.n_sites > DENSE_MAX_SITES:
+        return bloch_basis(model)
+    w, U = eigensystem(model)
+    return SpectralBasis(w, partial(spectral_amplitudes, U),
+                         partial(synthesize, U))
+
+
 def resolvent_vector(model: LatticeModel, omega: float,
                      chi: np.ndarray) -> np.ndarray:
     """G_B(omega) |chi> for an arbitrary site-space vector |chi>."""
-    w, U = eigensystem(model)
-    _check_pole(model, omega, w)
-    return synthesize(U, spectral_amplitudes(U, chi) / (omega - w))
+    basis = spectral_basis(model)
+    _check_pole(model, omega, basis.w)
+    return basis.synthesize(basis.amplitudes(chi) / (omega - basis.w))
 
 
 def self_energy(model: LatticeModel,
@@ -99,8 +175,9 @@ def self_energy(model: LatticeModel,
 
     The spectral weights |c_a|^2 are computed once; each evaluation of the
     returned function is an O(N) sum and still enforces the pole guard."""
-    w, U = eigensystem(model)
-    weights = np.abs(spectral_amplitudes(U, chi)) ** 2
+    basis = spectral_basis(model)
+    w = basis.w
+    weights = np.abs(basis.amplitudes(chi)) ** 2
 
     def sigma(omega: float) -> float:
         _check_pole(model, omega, w)
@@ -116,20 +193,21 @@ def resolvent_form(model: LatticeModel, omegas: np.ndarray,
     One amplitude matrix C = U^H [chi_1 ... chi_n] serves every entry:
     M_ij = sum_a conj(C_ai) C_aj / (omega_j - w_a).  Each omega_j is checked
     against the pole guard."""
-    w, U = eigensystem(model)
+    basis = spectral_basis(model)
+    w = basis.w
     omegas = np.asarray(omegas, dtype=float)
     for omega in omegas:
         _check_pole(model, float(omega), w)
-    C = spectral_amplitudes(U, chis)
+    C = basis.amplitudes(chis)
     return C.conj().T @ (C / (omegas[None, :] - w[:, None]))
 
 
 def resolvent_element(model: LatticeModel, omega: float,
                       x: int, xp: int) -> complex:
     """<x| G_B(omega) |x'> = sum_a u_a(x) u_a*(x') / (omega - e_a)."""
-    w, U = eigensystem(model)
-    _check_pole(model, omega, w)
-    return complex(np.sum(U[x, :] * np.conj(U[xp, :]) / (omega - w)))
+    sites = np.zeros((model.n_sites, 2))
+    sites[x, 0] = sites[xp, 1] = 1.0
+    return complex(resolvent_form(model, [omega, omega], sites)[0, 1])
 
 
 def chain_green_analytic(J: float, delta: float, d: int) -> float:

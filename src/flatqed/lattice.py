@@ -314,29 +314,36 @@ def _disorder_draws(model: LatticeModel) -> tuple[np.ndarray | None, np.ndarray 
 
 
 def real_space_hamiltonian(model: LatticeModel) -> np.ndarray:
-    """Dense Hermitian single-excitation Hamiltonian over all sites."""
-    n = model.n_sites
+    """Dense Hermitian single-excitation Hamiltonian over all sites.
+
+    Bonds are numbered cell-major, hopping-minor (the order of the
+    off-diagonal disorder draws); each bond adds t at (i, j) and then t* at
+    (j, i), all in one ordered scatter."""
+    n, Q = model.n_sites, model.Q
     dtype = float if _is_real(model) else complex
     H = np.zeros((n, n), dtype=dtype)
     diag_dis, hop_dis = _disorder_draws(model)
     for s, eps in enumerate(model.onsite):
-        idx = np.arange(s, n, model.Q)
+        idx = np.arange(s, n, Q)
         H[idx, idx] += eps
     if diag_dis is not None:
         H[np.arange(n), np.arange(n)] += diag_dis
-    bond = 0
-    for cell in model.cells():
-        ci = model.cell_index(cell)
-        for nu, nup, off, amp in model.hoppings:
-            cj = model.cell_index(tuple(c + o for c, o in zip(cell, off)))
-            i = ci * model.Q + nu
-            j = cj * model.Q + nup
-            t = complex(amp) if dtype is complex else float(np.real(amp))
-            if hop_dis is not None and t != 0:
-                t = t * (abs(t) + hop_dis[bond]) / abs(t)
-            bond += 1
-            H[i, j] += t
-            H[j, i] += np.conj(t)
+    n_hops = len(model.hoppings)
+    cell = np.arange(model.n_cells)
+    coords = np.indices(model.shape).reshape(model.dim, -1)
+    rows = np.empty((model.n_cells, n_hops, 2), dtype=np.intp)
+    vals = np.empty((model.n_cells, n_hops, 2), dtype=dtype)
+    for h, (nu, nup, off, amp) in enumerate(model.hoppings):
+        target = np.ravel_multi_index(
+            tuple(coords + np.asarray(off)[:, None]), model.shape, mode="wrap")
+        t = complex(amp) if dtype is complex else float(np.real(amp))
+        if hop_dis is not None and t != 0:
+            t = t * (abs(t) + hop_dis[h::n_hops]) / abs(t)
+        rows[:, h, 0] = cell * Q + nu
+        rows[:, h, 1] = target * Q + nup
+        vals[:, h, 0] = t
+        vals[:, h, 1] = np.conj(t)
+    np.add.at(H, (rows.ravel(), rows[..., ::-1].ravel()), vals.ravel())
     return H
 
 

@@ -1,0 +1,247 @@
+"""The Bloch basis of the resolvent seam.
+
+Clean models above ``greens.DENSE_MAX_SITES`` sites reach the bath through
+FFTs over the cell axes and the Q x Q Bloch blocks instead of a dense eigh.
+The properties below run on small clean models, either on ``bloch_basis``
+itself or with the threshold lowered to zero so that every seam function
+takes the Bloch path, and compare against a ``np.linalg.solve(omega - H, chi)``
+oracle and the dense eigensystem.  The last tests run sizes the dense path
+cannot reach (sawtooth N=1e5, checkerboard 200x200).
+"""
+
+import cmath
+import contextlib
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from flatqed import greens
+from flatqed.boundstate import (EmitterSpec, bs_profile, bs_wavefunction,
+                                omega0_for_detuning, small_atom, solve_pole)
+from flatqed.cli import main
+from flatqed.errors import PoleProximity
+from flatqed.giant import cls_emitter
+from flatqed.greens import (POLE_GUARD, bloch_basis, eigensystem,
+                            resolvent_form, resolvent_vector, self_energy,
+                            spectral_basis)
+from flatqed.interactions import interaction_matrix
+from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
+                             bloch_hamiltonian, build_chain,
+                             build_checkerboard, build_double_comb,
+                             build_kagome1d, build_sawtooth, build_stub,
+                             real_space_hamiltonian, site_index)
+
+FLUX_SAWTOOTH = LatticeModel(
+    "flux-sawtooth", 1, (6,), ("a", "b"), (0.0, 0.3),
+    ((1, 1, (1,), cmath.exp(0.4j)),
+     (0, 1, (0,), math.sqrt(2.0)),
+     (0, 1, (-1,), math.sqrt(2.0) * cmath.exp(-0.7j))),
+    1.0)
+
+BLOCH_MODELS = [
+    build_chain(7),
+    build_sawtooth(6),
+    build_stub(5, Delta=2.0),
+    build_double_comb(5, t=1.3, omega_c=0.2),
+    build_kagome1d(5),
+    build_checkerboard(5, 4),
+    build_checkerboard(6, 6),
+    FLUX_SAWTOOTH,
+]
+CLS_MODELS = [m for m in BLOCH_MODELS
+              if m.name in ("sawtooth", "stub", "doublecomb", "kagome1d",
+                            "checkerboard")]
+bloch_model = st.sampled_from(BLOCH_MODELS)
+
+
+@contextlib.contextmanager
+def bloch_path():
+    """Every clean model takes the Bloch basis inside this block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greens, "DENSE_MAX_SITES", 0)
+        yield
+
+
+def _solve(model: LatticeModel, omega: float, chi: np.ndarray) -> np.ndarray:
+    H = real_space_hamiltonian(model)
+    return np.linalg.solve(omega * np.eye(model.n_sites) - H, chi)
+
+
+def _chi(model: LatticeModel, kind: str, seed: int) -> np.ndarray:
+    """A unit site vector: one site, a CLS giant, or a random complex one."""
+    rng = np.random.default_rng(seed)
+    n = model.n_sites
+    if kind == "site":
+        chi = np.zeros(n)
+        chi[int(rng.integers(n))] = 1.0
+        return chi
+    if kind == "cls" and model in CLS_MODELS:
+        cell = tuple(int(rng.integers(s)) for s in model.shape)
+        return cls_emitter(model, 0.0, 1.0, cell).chi(n)
+    chi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return chi / np.linalg.norm(chi)
+
+
+def _off_spectrum(model: LatticeModel, omega: float) -> bool:
+    return np.min(np.abs(omega - eigensystem(model)[0])) > 1e-3
+
+
+@pytest.mark.parametrize("model", BLOCH_MODELS, ids=lambda m: f"{m.name}{m.shape}")
+def test_bloch_basis_is_the_eigenbasis(model):
+    """Sorted w equals the dense spectrum; synthesis inverts the amplitudes
+    and maps each basis state to an eigenvector of H."""
+    basis = bloch_basis(model)
+    assert np.max(np.abs(np.sort(basis.w) - eigensystem(model)[0])) < 1e-12
+    eye = np.eye(model.n_sites)
+    V = basis.synthesize(eye)            # columns U e_a
+    assert np.max(np.abs(V.conj().T @ V - eye)) < 1e-12
+    H = real_space_hamiltonian(model)
+    assert np.max(np.abs(H @ V - V * basis.w)) < 1e-12
+    assert np.max(np.abs(basis.amplitudes(eye) - V.conj().T)) < 1e-12
+    assert basis is bloch_basis(model)   # cached per model
+
+
+@given(model=bloch_model, omega=st.floats(-5.0, 5.0),
+       kind=st.sampled_from(["site", "cls", "complex"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_resolvent_and_self_energy_match_solve(model, omega, kind, seed):
+    assume(_off_spectrum(model, omega))
+    chi = _chi(model, kind, seed)
+    exact = _solve(model, omega, chi)
+    scale = np.linalg.norm(exact)
+    with bloch_path():
+        assert spectral_basis(model) is bloch_basis(model)
+        g = resolvent_vector(model, omega, chi)
+        sigma = self_energy(model, chi)(omega)
+    assert g.dtype == complex
+    assert np.max(np.abs(g - exact)) < 1e-10 * scale
+    assert sigma == pytest.approx(np.vdot(chi, exact).real, abs=1e-10 * scale)
+
+
+@given(model=bloch_model, seed=st.integers(0, 2**32 - 1),
+       shift=st.floats(0.01, 2.0))
+@settings(max_examples=30, deadline=None)
+def test_resolvent_form_matches_solve(model, seed, shift):
+    """A matrix of columns (one site, a CLS giant, a complex vector) and one
+    omega per column: M_ij = <chi_i| (omega_j - H)^{-1} |chi_j>."""
+    chis = np.column_stack([_chi(model, kind, seed + i).astype(complex)
+                            for i, kind in enumerate(("site", "cls", "complex"))])
+    w_min = float(eigensystem(model)[0][0])
+    omegas = w_min - shift * np.array([1.0, 0.5, 2.0])
+    with bloch_path():
+        M = resolvent_form(model, omegas, chis)
+    for j, omega in enumerate(omegas):
+        col = chis.conj().T @ _solve(model, omega, chis[:, j])
+        assert np.max(np.abs(M[:, j] - col)) < 1e-10 * np.max(np.abs(col))
+
+
+@given(model=bloch_model, seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["site", "cls", "complex"]),
+       shift=st.floats(0.01, 2.0), g=st.floats(1e-3, 0.5))
+@settings(max_examples=40, deadline=None)
+def test_solve_pole_root_matches_dense(model, seed, kind, shift, g):
+    """The Bloch root equals the dense root to 1e-12 J and zeroes the pole
+    equation evaluated with the linear-solve oracle."""
+    chi = _chi(model, kind, seed)
+    sites = np.flatnonzero(chi)
+    em = EmitterSpec(omega0=float(eigensystem(model)[0][0]) - shift,
+                     couplings=tuple((int(x), g * complex(chi[x])) for x in sites))
+    dense = solve_pole(model, em)
+    with bloch_path():
+        root = solve_pole(model, em)
+    assert abs(root - dense) < 1e-12 * model.J
+    c = em.chi(model.n_sites)
+    F = root - em.omega0 - em.gbar ** 2 * np.vdot(c, _solve(model, root, c)).real
+    assert abs(F) < 1e-10
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("model", BLOCH_MODELS, ids=lambda m: f"{m.name}{m.shape}")
+def test_interaction_matrix_matches_dense(model, exact):
+    rng = np.random.default_rng(3)
+    omega0 = float(eigensystem(model)[0][0]) - 0.3
+    ems = [EmitterSpec(omega0, ((int(x), 0.05 * np.exp(1j * rng.uniform(0, 6))),))
+           for x in rng.choice(model.n_sites, size=3, replace=False)]
+    dense = interaction_matrix(model, ems, exact_pole=exact).K
+    with bloch_path():
+        K = interaction_matrix(model, ems, exact_pole=exact).K
+    assert np.max(np.abs(K - dense)) < 1e-12 * np.max(np.abs(dense))
+
+
+@given(model=bloch_model, index=st.integers(0, 35), frac=st.floats(-0.99, 0.99))
+@settings(max_examples=30, deadline=None)
+def test_pole_guard_on_bloch_path(model, index, frac):
+    with bloch_path():
+        w = spectral_basis(model).w
+        omega = float(w[index % w.size]) + frac * POLE_GUARD * model.J
+        chi = _chi(model, "complex", index)
+        sigma = self_energy(model, chi)
+        with pytest.raises(PoleProximity):
+            resolvent_vector(model, omega, chi)
+        with pytest.raises(PoleProximity):
+            sigma(omega)
+        with pytest.raises(PoleProximity):
+            resolvent_form(model, [omega], chi[:, None])
+
+
+def test_clean_model_above_threshold_never_calls_eigensystem():
+    model = build_sawtooth(greens.DENSE_MAX_SITES // 2 + 1)
+    assert model.n_sites > greens.DENSE_MAX_SITES
+    before = eigensystem.cache_info()
+    em = small_atom(model, omega0_for_detuning(model, 1e-2), 1e-3, 7, "a")
+    bs_wavefunction(model, em)
+    after = eigensystem.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_disordered_model_above_threshold_takes_dense_path():
+    model = apply_disorder(build_stub(greens.DENSE_MAX_SITES // 3 + 1),
+                           DisorderSpec("diagonal", 0.1, seed=4))
+    assert model.n_sites > greens.DENSE_MAX_SITES
+    misses = eigensystem.cache_info().misses
+    assert spectral_basis(model).w is eigensystem(model)[0]
+    assert eigensystem.cache_info().misses == misses + 1
+
+
+def test_sawtooth_1e5_tail_is_the_single_pole_rate():
+    """Sawtooth N=1e5: per-step length 1/ln(psi_d/psi_{d+1}) over d = 1..8
+    equals 1/arccosh(1 - omega_BS/(2J)) to 1e-6 (the check of test_01)."""
+    model = build_sawtooth(100_000)
+    em = small_atom(model, omega0_for_detuning(model, 1e-2), 1e-3, 50_000, "a")
+    res = bs_wavefunction(model, em)
+    lam_exact = 1.0 / math.acosh(1.0 - res.omega_bs / (2.0 * model.J))
+    prof = bs_profile(res, model, "a", d_max=9)
+    for d in range(1, 9):
+        step = 1.0 / math.log(prof[d] / prof[d + 1])
+        assert abs(step / lam_exact - 1.0) < 1e-6
+
+
+def test_checkerboard_200_matches_bloch_sum():
+    """Checkerboard 200x200: psi on sublattice a along x equals
+    g c_e (1/N) sum_k e^{ik.d} [(omega_BS - H_k)^-1]_aa, inverted in one
+    batch over the k-grid, to 1e-8 relative (the check of test_06)."""
+    n = 200
+    model = build_checkerboard(n, n)
+    em = small_atom(model, omega0_for_detuning(model, 1e-2), 1e-3,
+                    (n // 2, n // 2), "a")
+    res = bs_wavefunction(model, em)
+    k = 2.0 * np.pi * np.arange(n) / n
+    ks = np.stack(np.meshgrid(k, k, indexing="ij"), axis=-1).reshape(-1, 2)
+    G_aa = np.linalg.inv(res.omega_bs * np.eye(2)
+                         - bloch_hamiltonian(model, ks))[:, 0, 0]
+    for d in (0, 1, 5, 20, 60):
+        bloch = 1e-3 * res.c_e * np.sum(np.exp(1j * ks[:, 0] * d) * G_aa) / len(ks)
+        psi = res.psi[site_index(model, (n // 2 + d, n // 2), "a")]
+        assert abs(psi - bloch) < 1e-8 * abs(bloch)
+
+
+def test_cli_boundstate_checkerboard_200(capsys):
+    code = main(["boundstate", "--model", "checkerboard", "--N", "200x200",
+                 "--site", "a:100,100", "--delta", "1e-2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("omega0,omega_bs,residual")
