@@ -215,12 +215,7 @@ AMPLITUDE_FLOOR = 1e-13
 def _reference_cell(model: LatticeModel, emitter: EmitterSpec) -> tuple[int, ...]:
     """Cell of the strongest coupling (the profile origin)."""
     x, _g = max(emitter.couplings, key=lambda c: abs(c[1]))
-    cell_lin = x // model.Q
-    coords = []
-    for n in reversed(model.shape):
-        coords.append(cell_lin % n)
-        cell_lin //= n
-    return tuple(reversed(coords))
+    return np.unravel_index(x // model.Q, model.shape)
 
 
 def bs_profile(result: BoundStateResult, model: LatticeModel,
@@ -228,17 +223,16 @@ def bs_profile(result: BoundStateResult, model: LatticeModel,
                d_max: int | None = None) -> np.ndarray:
     """|psi| sampled on one sublattice along a coordinate axis, as a function
     of the cell distance d >= 0 from the emitter's cell."""
-    s = model.sublattice_id(sub)
-    ref = _reference_cell(model, result.emitter)
+    index = list(_reference_cell(model, result.emitter))
     n_axis = model.shape[axis]
     if d_max is None:
         d_max = n_axis // 2
-    prof = np.empty(d_max + 1)
-    for d in range(d_max + 1):
-        cell = list(ref)
-        cell[axis] = (cell[axis] + d) % n_axis
-        prof[d] = abs(result.psi[site_index(model, tuple(cell), s)])
-    return prof
+    index[axis] = (index[axis] + np.arange(d_max + 1)) % n_axis
+    index.append(model.sublattice_id(sub))
+    samples = result.psi.reshape(model.shape + (model.Q,))[tuple(index)]
+    # np.hypot rounds like the scalar abs(); the vectorised np.abs of a
+    # complex array differs from both in the last bit
+    return np.hypot(samples.real, samples.imag)
 
 
 def localization_length_fit(result: BoundStateResult, model: LatticeModel,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from typing import Sequence
 
@@ -25,26 +24,14 @@ from flatqed.errors import ConfigError, FlatQedError, UnsupportedLattice
 from flatqed.flatband import cls_set, xi_analytic_1d, xi_numeric
 from flatqed.giant import cls_emitter, giant_interaction
 from flatqed.greens import eigensystem
-from flatqed.interactions import interaction_matrix
+from flatqed.interactions import InteractionMatrix, interaction_matrix
 from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
-                             build_chain, build_checkerboard,
-                             build_double_comb, build_kagome1d,
-                             build_sawtooth, build_stub)
+                             model_from_spec)
 from flatqed.spectrum import band_structure, flat_band_width_real_space
 
 # ---------------------------------------------------------------------------
 # parsing helpers
 # ---------------------------------------------------------------------------
-
-
-def _parse_shape(text: str) -> tuple[int, ...]:
-    try:
-        shape = tuple(int(p) for p in text.lower().split("x"))
-    except ValueError as exc:
-        raise ConfigError(f"bad lattice size {text!r}") from exc
-    if any(n <= 0 for n in shape):
-        raise ConfigError("lattice size must be positive")
-    return shape
 
 
 def _parse_site(text: str) -> tuple[str, tuple[int, ...]]:
@@ -79,37 +66,17 @@ def _parse_scan(text: str) -> list[float]:
     raise ConfigError(f"unknown scan spacing {spacing!r}")
 
 
-def _build_model(args: argparse.Namespace) -> LatticeModel:
-    shape = _parse_shape(args.N)
-    name = args.model
-    J = args.J
-    if name == "chain":
-        if len(shape) != 1:
-            raise ConfigError("chain is one-dimensional")
-        return build_chain(shape[0], J=J)
-    if name == "sawtooth":
-        if len(shape) != 1:
-            raise ConfigError("sawtooth is one-dimensional")
-        return build_sawtooth(shape[0], J=J)
-    if name == "stub":
-        if len(shape) != 1:
-            raise ConfigError("stub is one-dimensional")
-        return build_stub(shape[0], J=J, Delta=args.Delta)
-    if name == "doublecomb":
-        if len(shape) != 1:
-            raise ConfigError("doublecomb is one-dimensional")
-        return build_double_comb(shape[0], J=J, omega_c=args.omega_c, t=args.t)
-    if name == "kagome1d":
-        if len(shape) != 1:
-            raise ConfigError("kagome1d is one-dimensional")
-        return build_kagome1d(shape[0], J=J)
-    if name == "checkerboard":
-        if len(shape) == 1:
-            shape = (shape[0], shape[0])
-        if len(shape) != 2:
-            raise ConfigError("checkerboard is two-dimensional (NxM)")
-        return build_checkerboard(shape[0], shape[1], J=J)
-    raise ConfigError(f"unknown model {name!r}")
+def _model(args: argparse.Namespace) -> LatticeModel:
+    """The model named by the flags: ``--N 40`` is a square lattice in 2D,
+    ``--N 40x30`` gives one cell count per axis."""
+    try:
+        shape = [int(p) for p in args.N.lower().split("x")]
+    except ValueError as exc:
+        raise ConfigError(f"bad lattice size {args.N!r}") from exc
+    return model_from_spec({
+        "model": args.model, "N": shape[0] if len(shape) == 1 else shape,
+        "J": args.J,
+        "params": {"Delta": args.Delta, "t": args.t, "omega_c": args.omega_c}})
 
 
 def _emitter(model: LatticeModel, args: argparse.Namespace,
@@ -165,13 +132,21 @@ def _write_rows(rows: list[dict], fieldnames: list[str],
             fh.close()
 
 
+def _write_K(K: InteractionMatrix, args: argparse.Namespace) -> None:
+    """One ``i,j,re,im`` row per entry of the K matrix."""
+    rows = [{"i": i, "j": j,
+             "re": float(K.K[i, j].real), "im": float(K.K[i, j].imag)}
+            for i in range(K.n) for j in range(K.n)]
+    _write_rows(rows, ["i", "j", "re", "im"], args.out, args.format)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_bands(args: argparse.Namespace) -> None:
-    model = _build_model(args)
+    model = _model(args)
     bs = band_structure(model)
     rows = []
     for i, k in enumerate(bs.k_grid):
@@ -184,7 +159,7 @@ def _cmd_bands(args: argparse.Namespace) -> None:
 
 
 def _cmd_boundstate(args: argparse.Namespace) -> None:
-    model = _build_model(args)
+    model = _model(args)
     omega0 = _omega0(model, args)
     em = _emitter(model, args, args.site, omega0)
     omega_bs = solve_pole(model, em)
@@ -200,7 +175,7 @@ def _cmd_boundstate(args: argparse.Namespace) -> None:
 
 
 def _cmd_loclen(args: argparse.Namespace) -> None:
-    model = _build_model(args)
+    model = _model(args)
     deltas = _parse_scan(args.scan_delta) if args.scan_delta else [args.delta]
     if deltas == [None]:
         raise ConfigError("provide --delta or --scan-delta")
@@ -236,20 +211,17 @@ def _cmd_xi(args: argparse.Namespace) -> None:
 
 
 def _cmd_interactions(args: argparse.Namespace) -> None:
-    model = _build_model(args)
+    model = _model(args)
     omega0 = _omega0(model, args)
     emitters = [_emitter(model, args, s, omega0) for s in args.site]
     if len(emitters) < 2:
         raise ConfigError("interactions needs at least two --site entries")
-    K = interaction_matrix(model, emitters, exact_pole=args.exact_pole)
-    rows = [{"i": i, "j": j,
-             "re": float(K.K[i, j].real), "im": float(K.K[i, j].imag)}
-            for i in range(K.n) for j in range(K.n)]
-    _write_rows(rows, ["i", "j", "re", "im"], args.out, args.format)
+    _write_K(interaction_matrix(model, emitters, exact_pole=args.exact_pole),
+             args)
 
 
 def _cmd_giants(args: argparse.Namespace) -> None:
-    model = _build_model(args)
+    model = _model(args)
     cls = cls_set(model)
     omega0 = _omega0(model, args)
     emitters = []
@@ -258,15 +230,11 @@ def _cmd_giants(args: argparse.Namespace) -> None:
         emitters.append(cls_emitter(model, omega0, args.g, cell, cls))
     if not emitters:
         raise ConfigError("giants needs at least one --cls entry")
-    K = giant_interaction(model, emitters, cls.omega_fb)
-    rows = [{"i": i, "j": j,
-             "re": float(K.K[i, j].real), "im": float(K.K[i, j].imag)}
-            for i in range(K.n) for j in range(K.n)]
-    _write_rows(rows, ["i", "j", "re", "im"], args.out, args.format)
+    _write_K(giant_interaction(model, emitters, cls.omega_fb), args)
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> None:
-    model = _build_model(args)
+    model = _model(args)
     if args.omega0 is None and args.delta is None:
         omega0 = cls_set(model).omega_fb     # resonant with the flat band
     else:
@@ -285,7 +253,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> None:
 
 
 def _cmd_disorder(args: argparse.Namespace) -> None:
-    model = _build_model(args)
+    model = _model(args)
     cls = cls_set(model)
     rows = []
     for seed in range(args.seeds):

@@ -10,6 +10,10 @@ where alpha_d is the nearest-neighbour CLS overlap along direction d.  In 1D
 xi has the closed form of a single signed exponential; on a 2D coordinate
 axis it is governed by two branch-point singularities whose locations set the
 two localization lengths returned by :func:`lambda_2d`.
+
+On a finite lattice f(k) = |phi(k)|^2, where phi(k) is the Fourier symbol of
+the stencil, and the CLS expansions are evaluated in that Bloch form on the
+commensurate k-grid, without sites x cells or cells x cells matrices.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from flatqed.errors import SingularF, UnsupportedLattice
 from flatqed.greens import FlatBandProjector
 from flatqed.lattice import LatticeModel, site_index
+from flatqed.spectrum import default_k_grid
 
 StencilEntry = tuple[int, tuple[int, ...], float]
 
@@ -257,46 +262,36 @@ def xi_2d_axis(alpha: float, d: int) -> float:
 # CLS expansion of the FB projector and of bound states
 # ---------------------------------------------------------------------------
 
-def _cls_matrix(model: LatticeModel, cls: ClsSet) -> np.ndarray:
-    """Matrix Phi (sites x cells) whose columns are the CLS vectors."""
-    Phi = np.zeros((model.n_sites, model.n_cells))
-    for cell in model.cells():
-        Phi[:, model.cell_index(cell)] = cls_vector(model, cell, cls)
-    return Phi
-
-
-def _xi_kernel(model: LatticeModel, cls: ClsSet) -> np.ndarray:
-    """Finite-N weight function xi(dn) on the lattice's own k-grid,
-    returned as an array over cell offsets (shape = model.shape)."""
-    axes = [2.0 * np.pi * np.arange(n) / n for n in model.shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    f = np.ones(model.shape)
-    for a, km in zip(cls.alphas, mesh):
-        f = f + 2.0 * a * np.cos(km)
-    if np.min(np.abs(f)) < 1e-14:
+def _cls_symbol(cls: ClsSet, model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
+    """The stencil's Fourier symbol phi(k)[s] = sum_{(s,o,c)} c e^{-ik.o} and
+    the CLS Gram symbol f(k) = |phi(k)|^2 on ``default_k_grid``, shaped
+    (cells..., Q) and (cells...) like ``greens.bloch_basis`` arrays."""
+    k = default_k_grid(model)
+    phi = np.zeros((len(k), model.Q), dtype=complex)
+    for sub, off, coeff in cls.stencil:
+        phi[:, sub] += coeff * np.exp(-1j * (k @ np.asarray(off, dtype=float)))
+    f = np.sum(np.abs(phi) ** 2, axis=1)
+    if np.min(f) < 1e-14:
         raise SingularF("f(k) vanishes on the lattice k-grid "
                         "(incomplete CLS basis; band touching)")
-    xi = np.fft.ifftn(1.0 / f)  # ifftn carries the (1/N) sum convention
-    assert np.max(np.abs(xi.imag)) < 1e-12
-    return xi.real
+    return phi.reshape(model.shape + (model.Q,)), f.reshape(model.shape)
 
 
 def projector_cls_expansion(cls: ClsSet, model: LatticeModel) -> np.ndarray:
     """Assemble P_FB = sum_{nn'} xi_{nn'} |phi_{n'}><phi_n| from stencils and
     the finite-N weight function.  Equals the eigenvector-based projector for
-    isolated flat bands with a complete CLS basis."""
-    Phi = _cls_matrix(model, cls)
-    Xi = _xi_circulant(model, cls)
-    return Phi @ Xi @ Phi.T
+    isolated flat bands with a complete CLS basis.
 
-
-def _xi_circulant(model: LatticeModel, cls: ClsSet) -> np.ndarray:
-    """The weight function as a circulant over cells:
-    Xi[n, n'] = xi[(n - n') mod shape]."""
-    xi = _xi_kernel(model, cls)
-    coords = np.stack([g.ravel() for g in np.indices(model.shape)], axis=-1)
-    diff = (coords[:, None, :] - coords[None, :, :]) % np.asarray(model.shape)
-    return xi[tuple(diff[..., d] for d in range(model.dim))]
+    In Bloch form P(k) = phi(k) phi(k)^H / f(k); its inverse FFT is the
+    block-circulant kernel P[(n, s), (n', s')] = K(n - n')[s, s']."""
+    phi, f = _cls_symbol(cls, model)
+    Pk = phi[..., :, None] * phi[..., None, :].conj() / f[..., None, None]
+    K = np.fft.ifftn(Pk, axes=tuple(range(model.dim))).real
+    cells = np.indices(model.shape).reshape(model.dim, -1)
+    diff = np.ravel_multi_index(tuple(cells[:, :, None] - cells[:, None, :]),
+                                model.shape, mode="wrap")
+    P = K.reshape(-1, model.Q, model.Q)[diff]            # (n, n', s, s')
+    return P.transpose(0, 2, 1, 3).reshape(model.n_sites, model.n_sites)
 
 
 def bs_cls_weights(cls: ClsSet, model: LatticeModel, x0: int) -> np.ndarray:
@@ -304,16 +299,26 @@ def bs_cls_weights(cls: ClsSet, model: LatticeModel, x0: int) -> np.ndarray:
 
         w_n = sum_{n'} xi_{nn'} phi_{n'}(x0),
 
-    so that sum_n w_n phi_n(x) = <x| P_FB |x0>."""
-    Phi = _cls_matrix(model, cls)
-    Xi = _xi_circulant(model, cls)
-    return Xi @ Phi[x0, :]
+    so that sum_n w_n phi_n(x) = <x| P_FB |x0>.  With x0 in cell m0 on
+    sublattice s0, w(k) = conj(phi(k)[s0]) e^{-ik.m0} / f(k)."""
+    phi, f = _cls_symbol(cls, model)
+    cell, s0 = divmod(x0, model.Q)
+    m0 = np.unravel_index(cell, model.shape)
+    k = default_k_grid(model).reshape(model.shape + (model.dim,))
+    w = phi[..., s0].conj() * np.exp(-1j * (k @ np.asarray(m0, dtype=float))) / f
+    return np.fft.ifftn(w).real.reshape(-1)
 
 
 def reconstruct_from_weights(cls: ClsSet, model: LatticeModel,
                              w: np.ndarray) -> np.ndarray:
-    """Site-space vector sum_n w_n |phi_n>."""
-    return _cls_matrix(model, cls) @ w
+    """Site-space vector sum_n w_n |phi_n>, as one shifted copy of the
+    weights per stencil entry."""
+    w = np.asarray(w).reshape(model.shape)
+    axes = tuple(range(model.dim))
+    x = np.zeros(model.shape + (model.Q,), dtype=np.result_type(w, float))
+    for sub, off, coeff in cls.stencil:
+        x[..., sub] += coeff * np.roll(w, off, axis=axes)
+    return x.reshape(-1)
 
 
 def fb_projector_matches(P_eigen: FlatBandProjector, P_cls: np.ndarray) -> float:

@@ -79,42 +79,27 @@ def cls_superposition_emitter(model: LatticeModel, omega0: float, g: float,
 
 
 def envelope_emitter(model: LatticeModel, omega0: float, g: float,
-                     sub: str | int, center: Sequence[int] | int,
-                     ell: float, cls: ClsSet | None = None) -> EmitterSpec:
+                     center: Sequence[int] | int, ell: float,
+                     cls: ClsSet | None = None) -> EmitterSpec:
     """Giant atom with an exponential envelope of CLSs,  c_n ~ e^{-|n-n0|/ell}.
 
     The superposition is truncated where the envelope drops below 1e-12 and
-    wrapped on the periodic lattice (distances measured around the ring).
-    ``sub`` is unused for CLS-based envelopes and kept for symmetry with the
-    CLI site syntax."""
+    wrapped on the periodic lattice (distances measured around the ring);
+    cells are taken in lexicographic order of their offsets from n0."""
     if ell <= 0:
         raise ValueError("envelope length ell must be positive")
-    if isinstance(center, (int, np.integer)):
-        center = (int(center),)
+    center = np.atleast_1d(center)
     if len(center) != model.dim:
         raise ValueError("center dimension mismatch")
     cutoff_range = int(math.ceil(-ell * math.log(ENVELOPE_CUTOFF)))
-    cells, coeffs = [], []
-    half = [n // 2 for n in model.shape]
-    if model.dim == 1:
-        n_axis = model.shape[0]
-        for d in range(-min(cutoff_range, half[0]), min(cutoff_range, half[0]) + 1):
-            c = math.exp(-abs(d) / ell)
-            if c < ENVELOPE_CUTOFF:
-                continue
-            cells.append(((center[0] + d) % n_axis,))
-            coeffs.append(c)
-    else:
-        rng = [range(-min(cutoff_range, h), min(cutoff_range, h) + 1) for h in half]
-        for dx in rng[0]:
-            for dy in rng[1]:
-                c = math.exp(-math.hypot(dx, dy) / ell)
-                if c < ENVELOPE_CUTOFF:
-                    continue
-                cells.append(((center[0] + dx) % model.shape[0],
-                              (center[1] + dy) % model.shape[1]))
-                coeffs.append(c)
-    return cls_superposition_emitter(model, omega0, g, cells, coeffs, cls)
+    half = np.minimum(cutoff_range, np.asarray(model.shape) // 2)
+    offsets = np.indices(2 * half + 1).reshape(model.dim, -1).T - half
+    # math.exp, not np.exp: the two differ in the last bit
+    coeffs = np.array([math.exp(-r / ell)
+                       for r in np.sqrt(np.sum(offsets ** 2, axis=1))])
+    keep = coeffs >= ENVELOPE_CUTOFF
+    cells = (center + offsets[keep]) % model.shape
+    return cls_superposition_emitter(model, omega0, g, cells, coeffs[keep], cls)
 
 
 def fb_membership_defect(model: LatticeModel, emitter: EmitterSpec,
@@ -122,6 +107,17 @@ def fb_membership_defect(model: LatticeModel, emitter: EmitterSpec,
     """|| (1 - P_FB) chi ||: zero iff chi lies in the flat-band eigenspace."""
     chi = emitter.chi(model.n_sites)
     return float(np.linalg.norm(chi - fb_project(model, omega_fb, chi)))
+
+
+def _warn_if_outside_flat_band(model: LatticeModel, emitter: EmitterSpec,
+                               omega_fb: float) -> None:
+    """Warn when chi is not (numerically) inside the flat-band eigenspace:
+    CLS-shaped results then hold only approximately."""
+    defect = fb_membership_defect(model, emitter, omega_fb)
+    if defect > FB_MEMBERSHIP_TOL:
+        warnings.warn(
+            f"site state leaks out of the flat band (defect {defect:.2e}); "
+            "CLS-shaped results are only approximate", stacklevel=3)
 
 
 def giant_bound_state(model: LatticeModel, emitter: EmitterSpec,
@@ -135,12 +131,7 @@ def giant_bound_state(model: LatticeModel, emitter: EmitterSpec,
     hold only approximately."""
     if omega_fb is None:
         omega_fb = cls_set(model).omega_fb
-    defect = fb_membership_defect(model, emitter, omega_fb)
-    if defect > FB_MEMBERSHIP_TOL:
-        warnings.warn(
-            f"site state leaks out of the flat band (defect {defect:.2e}); "
-            "CLS-shaped bound-state results are only approximate",
-            stacklevel=2)
+    _warn_if_outside_flat_band(model, emitter, omega_fb)
     return bs_wavefunction(model, emitter, omega_bs=emitter.omega0)
 
 
@@ -163,11 +154,7 @@ def giant_interaction(model: LatticeModel, emitters: Sequence[EmitterSpec],
     for em in emitters:
         if abs(em.omega0 - omega0) > 1e-12 * model.J:
             raise ValueError("giant_interaction requires a common omega0")
-        defect = fb_membership_defect(model, em, omega_fb)
-        if defect > FB_MEMBERSHIP_TOL:
-            warnings.warn(
-                f"emitter site state leaks out of the flat band "
-                f"(defect {defect:.2e})", stacklevel=2)
+        _warn_if_outside_flat_band(model, em, omega_fb)
     chis = np.column_stack([em.chi(model.n_sites) for em in emitters])
     gram = chis.conj().T @ chis
     K = gbar ** 2 / (omega0 - omega_fb) * gram

@@ -43,7 +43,6 @@ class FlatBandProjector:
 
     P: np.ndarray
     omega_fb: float
-    tol: float
 
     @property
     def degeneracy(self) -> int:
@@ -223,31 +222,30 @@ def chain_green_analytic(J: float, delta: float, d: int) -> float:
     return -((-1) ** (d % 2)) / (2.0 * math.sqrt(J * delta)) * math.exp(-abs(d) / lam)
 
 
-def _fb_columns(model: LatticeModel, omega_fb: float, tol: float) -> np.ndarray:
-    """Eigenvectors of all states within ``tol * J`` of omega_fb.
+def _fb_columns(model: LatticeModel, omega_fb: float) -> np.ndarray:
+    """Eigenvectors of all states within ``FB_TOL * J`` of omega_fb.
 
     The eigenvalues are sorted, so the selection is one contiguous slice of
     U (a view, not a copy)."""
     w, U = eigensystem(model)
-    sel = np.flatnonzero(np.abs(w - omega_fb) < tol * model.J)
+    sel = np.flatnonzero(np.abs(w - omega_fb) < FB_TOL * model.J)
     if not sel.size:
         raise NoFlatBand(
-            f"no eigenvalues within {tol * model.J} of omega = {omega_fb}")
+            f"no eigenvalues within {FB_TOL * model.J} of omega = {omega_fb}")
     return U[:, sel[0]:sel[-1] + 1]
 
 
-def fb_projector(model: LatticeModel, omega_fb: float,
-                 tol: float = FB_TOL) -> FlatBandProjector:
-    """Sum of eigenprojectors of all states within ``tol * J`` of omega_fb."""
-    V = _fb_columns(model, omega_fb, tol)
-    return FlatBandProjector(P=V @ V.conj().T, omega_fb=float(omega_fb), tol=tol)
+def fb_projector(model: LatticeModel, omega_fb: float) -> FlatBandProjector:
+    """Sum of eigenprojectors of all states within ``FB_TOL * J`` of omega_fb."""
+    V = _fb_columns(model, omega_fb)
+    return FlatBandProjector(P=V @ V.conj().T, omega_fb=float(omega_fb))
 
 
 def fb_project(model: LatticeModel, omega_fb: float,
                chi: np.ndarray) -> np.ndarray:
     """P_FB |chi> = V (V^H chi) without forming the N x N projector; the
-    states are those of :func:`fb_projector` at its default window."""
-    V = _fb_columns(model, omega_fb, FB_TOL)
+    states are those of :func:`fb_projector`."""
+    V = _fb_columns(model, omega_fb)
     return synthesize(V, spectral_amplitudes(V, chi))
 
 

@@ -90,14 +90,10 @@ class LatticeModel:
 
     def cell_index(self, cell: Sequence[int] | int) -> int:
         """Linear index of a cell (lexicographic, periodic wrap)."""
-        if isinstance(cell, (int, np.integer)):
-            cell = (int(cell),)
+        cell = np.atleast_1d(cell)
         if len(cell) != self.dim:
             raise ConfigError("cell coordinate dimension mismatch")
-        idx = 0
-        for c, n in zip(cell, self.shape):
-            idx = idx * n + (int(c) % n)
-        return idx
+        return int(np.ravel_multi_index(tuple(cell), self.shape, mode="wrap"))
 
     def cells(self) -> Iterable[tuple[int, ...]]:
         return np.ndindex(*self.shape)
@@ -243,13 +239,15 @@ def build_checkerboard(Nx: int, Ny: int, J: float = 1.0) -> LatticeModel:
     )
 
 
+# name -> (builder, dimension, spec params passed on to the builder); the
+# builder signatures supply every default
 _BUILDERS = {
-    "chain": build_chain,
-    "sawtooth": build_sawtooth,
-    "stub": build_stub,
-    "doublecomb": build_double_comb,
-    "kagome1d": build_kagome1d,
-    "checkerboard": build_checkerboard,
+    "chain": (build_chain, 1, ()),
+    "sawtooth": (build_sawtooth, 1, ()),
+    "stub": (build_stub, 1, ("Delta",)),
+    "doublecomb": (build_double_comb, 1, ("t", "omega_c")),
+    "kagome1d": (build_kagome1d, 1, ()),
+    "checkerboard": (build_checkerboard, 2, ()),
 }
 
 
@@ -257,7 +255,10 @@ def model_from_spec(spec: Mapping) -> LatticeModel:
     """Build a model from a JSON-style dict.
 
     Schema: ``{"model": name, "N": int or [Nx, Ny], "J": float,
-    "params": {"Delta"|"t"|"omega_c": float}, "disorder": {...}}``.
+    "params": {"Delta"|"t"|"omega_c": float}, "disorder": {"kind": ...,
+    "strength": float, "seed": int}}``.  ``N`` is an int (a square lattice
+    in 2D) or one cell count per dimension; params the model does not take
+    are ignored.  Malformed input raises :class:`ConfigError`.
     """
     try:
         name = spec["model"]
@@ -265,31 +266,31 @@ def model_from_spec(spec: Mapping) -> LatticeModel:
         raise ConfigError("lattice spec missing 'model'") from None
     if name not in _BUILDERS:
         raise ConfigError(f"unknown lattice model {name!r}")
+    builder, dim, accepted = _BUILDERS[name]
     N = spec.get("N")
     if N is None:
         raise ConfigError("lattice spec missing 'N'")
-    J = float(spec.get("J", 1.0))
-    params = dict(spec.get("params", {}))
+    shape = [N] * dim if np.isscalar(N) else list(N)
+    if len(shape) != dim:
+        raise ConfigError(f"{name} is {dim}-dimensional; N must be an int "
+                          f"or a list of length {dim}, got {N!r}")
     try:
-        if name == "checkerboard":
-            if np.isscalar(N):
-                N = (int(N), int(N))
-            model = build_checkerboard(int(N[0]), int(N[1]), J)
-        elif name == "stub":
-            model = build_stub(int(N), J, float(params.get("Delta", 4.0)))
-        elif name == "doublecomb":
-            model = build_double_comb(
-                int(N), J, float(params.get("t", 1.0)),
-                float(params.get("omega_c", 0.0)))
-        else:
-            model = _BUILDERS[name](int(N), J)
+        params = dict(spec.get("params", {}))
+        kwargs = {p: float(params[p]) for p in accepted if p in params}
+        if "J" in spec:
+            kwargs["J"] = float(spec["J"])
+        model = builder(*(int(n) for n in shape), **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad lattice spec: {exc}") from exc
     dis = spec.get("disorder")
     if dis:
-        model = apply_disorder(model, DisorderSpec(
-            kind=dis["kind"], strength=float(dis["strength"]),
-            seed=int(dis.get("seed", 0))))
+        if not isinstance(dis, Mapping) or not {"kind", "strength"} <= dis.keys():
+            raise ConfigError("disorder spec needs 'kind' and 'strength'")
+        try:
+            strength, seed = float(dis["strength"]), int(dis.get("seed", 0))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad disorder spec: {exc}") from exc
+        model = apply_disorder(model, DisorderSpec(dis["kind"], strength, seed))
     return model
 
 

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from flatqed.boundstate import (EmitterSpec, bs_profile, bs_wavefunction,
+from flatqed.boundstate import (BoundStateResult, EmitterSpec, bs_profile,
+                                bs_wavefunction,
                                 localization_length_fit, omega0_for_detuning,
                                 pole_residual, small_atom, solve_pole,
                                 total_hamiltonian)
 from flatqed.errors import InsufficientData, NoRootInGap
 from flatqed.lattice import (build_chain, build_checkerboard,
                              build_kagome1d, build_sawtooth, build_stub,
-                             real_space_hamiltonian)
+                             real_space_hamiltonian, site_index)
 
 
 def test_single_cavity_exact_pole():
@@ -136,6 +137,31 @@ def test_bs_profile_symmetric_seed():
     prof = bs_profile(res, model, "a", d_max=5)
     assert prof.shape == (6,)
     assert prof[0] > prof[2] > prof[4] > 0
+
+
+@pytest.mark.parametrize("model,cell,sub", [
+    (build_sawtooth(9), (7,), "b"),
+    (build_checkerboard(6, 5), (4, 3), "a"),
+    (build_checkerboard(6, 5), (0, 4), "b"),
+], ids=["sawtooth", "checkerboard-a", "checkerboard-b"])
+def test_bs_profile_matches_site_loop(model, cell, sub):
+    """The one indexed read equals a loop over site_index, on both axes and
+    with d running past the lattice edge (periodic wrap)."""
+    chi = np.random.default_rng(3).standard_normal(model.n_sites)
+    em = EmitterSpec(omega0=9.0, couplings=(
+        (site_index(model, cell, 0), 0.1), (site_index(model, cell, 1), 1.0),
+        (site_index(model, (0,) * model.dim, 0), 0.5)))
+    res = BoundStateResult(omega_bs=9.0, psi=chi + 1j * chi[::-1], c_e=1.0,
+                           emitter=em)
+    for axis in range(model.dim):
+        d_max = model.shape[axis] + 2
+        expected = []
+        for d in range(d_max + 1):
+            c = list(cell)
+            c[axis] += d
+            expected.append(abs(res.psi[site_index(model, tuple(c), sub)]))
+        prof = bs_profile(res, model, sub, axis=axis, d_max=d_max)
+        assert np.array_equal(prof, expected)
 
 
 def test_decoupled_emitter_chi_is_zero():

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
-from flatqed.cli import main
+from flatqed.cli import _model, build_parser, main
+from flatqed.lattice import (build_chain, build_checkerboard,
+                             build_double_comb, build_kagome1d,
+                             build_sawtooth, build_stub)
 
 
 def run(argv, capsys):
@@ -137,3 +140,39 @@ def test_bad_config_file(tmp_path, capsys):
     cfg.write_text("not json")
     code, _o, err = run(["--config", str(cfg)], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flags,direct", [
+    (["--model", "chain", "--N", "9", "--J", "0.7"],
+     lambda: build_chain(9, J=0.7)),
+    (["--model", "sawtooth", "--N", "12", "--J", "1.3"],
+     lambda: build_sawtooth(12, J=1.3)),
+    (["--model", "stub", "--N", "10", "--J", "0.9", "--Delta", "2.5"],
+     lambda: build_stub(10, J=0.9, Delta=2.5)),
+    (["--model", "doublecomb", "--N", "8", "--J", "1.1", "--t", "1.4",
+      "--omega-c", "0.3"],
+     lambda: build_double_comb(8, J=1.1, t=1.4, omega_c=0.3)),
+    (["--model", "kagome1d", "--N", "6", "--J", "2.0"],
+     lambda: build_kagome1d(6, J=2.0)),
+    (["--model", "checkerboard", "--N", "6x5", "--J", "0.5"],
+     lambda: build_checkerboard(6, 5, J=0.5)),
+], ids=["chain", "sawtooth", "stub", "doublecomb", "kagome1d",
+        "checkerboard"])
+def test_cli_models_equal_direct_builder_calls(flags, direct):
+    args = build_parser().parse_args(["bands"] + flags)
+    assert _model(args) == direct()
+
+
+def test_cli_square_checkerboard_from_one_size():
+    args = build_parser().parse_args(["bands", "--model", "checkerboard",
+                                      "--N", "5"])
+    assert _model(args) == build_checkerboard(5, 5)
+
+
+@pytest.mark.parametrize("model,size", [("chain", "10x10"),
+                                        ("checkerboard", "4x4x4"),
+                                        ("sawtooth", "ten")])
+def test_cli_wrong_lattice_dimension_exit_2(model, size, capsys):
+    code, _o, err = run(["bands", "--model", model, "--N", size], capsys)
+    assert code == 2
+    assert "ConfigError" in err

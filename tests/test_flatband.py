@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatqed.errors import SingularF
-from flatqed.flatband import (bs_cls_weights, cls_set, cls_vector, f_of_k,
+from flatqed.flatband import (ClsSet, bs_cls_weights, cls_set, cls_vector, f_of_k,
                               fb_projector_matches, lambda_1d, lambda_2d,
                               projector_cls_expansion,
                               reconstruct_from_weights, settsech, xi_2d_axis,
@@ -25,6 +25,47 @@ FB_MODELS = [
 ]
 
 
+def _hand_2d_cls():
+    """A 2D CLS set on the checkerboard's two sublattices with overlap u v
+    along x and w z along y only, so its Gram symbol is f(k) with those
+    alphas.  Not an eigenstate of the checkerboard; used for the algebra."""
+    u, v, w = 0.8, 0.2, 0.5
+    z = math.sqrt(1.0 - u * u - v * v - w * w)
+    return ClsSet("hand2d", 0.0,
+                  ((0, (0, 0), u), (0, (1, 0), v), (1, (0, 0), w), (1, (0, 1), z)),
+                  (2, 2), (u * v, w * z))
+
+
+# (cls, model): every CLS builder with a complete basis, kagome1d (whose CLS
+# basis misses the two extended flat-band states) and the hand-built 2D set
+CLS_CASES = [(cls_set(m), m) for m in FB_MODELS[:4]] + [
+    (_hand_2d_cls(), build_checkerboard(6, 5)),
+    (_hand_2d_cls(), build_checkerboard(4, 7)),
+]
+CLS_IDS = [m.name for m in FB_MODELS[:4]] + ["hand2d-6x5", "hand2d-4x7"]
+
+
+def _cls_matrix(model, cls):
+    """Dense reference Phi (sites x cells): column n is the CLS of cell n."""
+    Phi = np.zeros((model.n_sites, model.n_cells))
+    for cell in model.cells():
+        Phi[:, model.cell_index(cell)] = cls_vector(model, cell, cls)
+    return Phi
+
+
+def _xi_circulant(model, cls):
+    """Dense reference Xi[n, n'] = xi(n - n'), with xi = ifftn(1/f) and
+    f(k) = 1 + 2 sum_d alpha_d cos k_d on the lattice's k-grid."""
+    axes = [2.0 * np.pi * np.arange(n) / n for n in model.shape]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    f = 1.0 + sum(2.0 * a * np.cos(km) for a, km in zip(cls.alphas, mesh))
+    xi = np.fft.ifftn(1.0 / f)
+    assert np.max(np.abs(xi.imag)) < 1e-12
+    coords = np.stack([g.ravel() for g in np.indices(model.shape)], axis=-1)
+    diff = (coords[:, None, :] - coords[None, :, :]) % np.asarray(model.shape)
+    return xi.real[tuple(diff[..., d] for d in range(model.dim))]
+
+
 @pytest.mark.parametrize("model", FB_MODELS, ids=lambda m: m.name)
 def test_cls_is_flat_band_eigenstate(model):
     cls = cls_set(model)
@@ -37,13 +78,22 @@ def test_cls_is_flat_band_eigenstate(model):
 
 @pytest.mark.parametrize("model", FB_MODELS, ids=lambda m: m.name)
 def test_alphas_match_cls_overlaps(model):
+    """alpha_d is the overlap of neighbouring CLSs along d and no other pair
+    of distinct CLSs overlaps, so the stencil's Gram symbol |phi(k)|^2 is
+    f(k) = 1 + 2 sum_d alpha_d cos k_d."""
     cls = cls_set(model)
     origin = (0,) * model.dim
     phi0 = cls_vector(model, origin, cls)
+    expected = np.zeros(model.shape)
+    expected[origin] = 1.0
     for axis, alpha in enumerate(cls.alphas):
         shifted = tuple(1 if d == axis else 0 for d in range(model.dim))
         phi1 = cls_vector(model, shifted, cls)
         assert float(phi0 @ phi1) == pytest.approx(alpha, abs=1e-12)
+        expected[shifted] += alpha
+        expected[tuple(-c for c in shifted)] += alpha
+    gram_row = _cls_matrix(model, cls).T @ phi0
+    assert np.max(np.abs(gram_row - expected.ravel())) < 1e-12
 
 
 @given(x=st.floats(1e-6, 1.0, allow_nan=False))
@@ -149,6 +199,48 @@ def test_projector_expansion_rejects_touching():
     P = fb_projector(model, cls.omega_fb)
     P_cls = projector_cls_expansion(cls, model)
     assert fb_projector_matches(P, P_cls) > 1e-6
+
+
+@pytest.mark.parametrize("cls,model", CLS_CASES, ids=CLS_IDS)
+def test_cls_operators_match_dense_reference(cls, model):
+    """The k-space projector, the FFT weights and the stencil-shift synthesis
+    equal Phi Xi Phi^T, Xi Phi^T e_x0 and Phi w built densely."""
+    Phi, Xi = _cls_matrix(model, cls), _xi_circulant(model, cls)
+    P = projector_cls_expansion(cls, model)
+    assert np.max(np.abs(P - Phi @ Xi @ Phi.T)) < 1e-12
+    for x0 in range(model.n_sites):
+        w = bs_cls_weights(cls, model, x0)
+        assert np.max(np.abs(w - Xi @ Phi[x0])) < 1e-12
+        rec = reconstruct_from_weights(cls, model, w)
+        assert np.max(np.abs(rec - P[:, x0])) < 1e-12
+    rng = np.random.default_rng(5)
+    w = rng.standard_normal(model.n_cells) + 1j * rng.standard_normal(model.n_cells)
+    for weights in (w.real, w):
+        rec = reconstruct_from_weights(cls, model, weights)
+        assert np.max(np.abs(rec - Phi @ weights)) < 1e-12
+
+
+def test_cls_projector_is_a_projector_onto_the_cls_span():
+    cls, model = _hand_2d_cls(), build_checkerboard(6, 5)
+    P = projector_cls_expansion(cls, model)
+    assert np.max(np.abs(P @ P - P)) < 1e-12
+    assert np.trace(P) == pytest.approx(model.n_cells, abs=1e-10)
+    phi = cls_vector(model, (4, 2), cls)
+    assert np.max(np.abs(P @ phi - phi)) < 1e-12
+
+
+def test_cls_expansion_singular_at_band_touching():
+    """The checkerboard's f(k) vanishes at k = 0: the projector and the
+    weights raise, while synthesis from weights needs no f."""
+    model = build_checkerboard(6, 5)
+    cls = cls_set(model)
+    with pytest.raises(SingularF):
+        projector_cls_expansion(cls, model)
+    with pytest.raises(SingularF):
+        bs_cls_weights(cls, model, 3)
+    w = np.random.default_rng(2).standard_normal(model.n_cells)
+    rec = reconstruct_from_weights(cls, model, w)
+    assert np.max(np.abs(rec - _cls_matrix(model, cls) @ w)) < 1e-12
 
 
 def test_bs_weights_reconstruct_projected_seed():

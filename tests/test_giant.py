@@ -10,7 +10,8 @@ from flatqed.giant import (cls_emitter, cls_superposition_emitter,
                            giant_bound_state, giant_interaction, site_state)
 from flatqed.greens import resolvent_vector
 from flatqed.interactions import interaction_matrix
-from flatqed.lattice import build_sawtooth, build_stub, site_index
+from flatqed.lattice import (build_checkerboard, build_sawtooth, build_stub,
+                             site_index)
 
 
 def test_site_state_small_atom_limit():
@@ -111,23 +112,59 @@ def test_giant_matches_generic_interaction():
 
 def test_envelope_emitter_truncation_and_norm():
     model = build_sawtooth(60)
-    em = envelope_emitter(model, -1.9, 1e-3, "a", 30, ell=0.5)
+    em = envelope_emitter(model, -1.9, 1e-3, 30, ell=0.5)
     chi = em.chi(model.n_sites)
     assert abs(np.linalg.norm(chi) - 1.0) < 1e-12
     # support truncated where the envelope drops below 1e-12
     assert len(em.couplings) < model.n_sites
     assert fb_membership_defect(model, em, -2.0) < 1e-10
     with pytest.raises(ValueError):
-        envelope_emitter(model, -1.9, 1e-3, "a", 30, ell=-1.0)
+        envelope_emitter(model, -1.9, 1e-3, 30, ell=-1.0)
+
+
+@pytest.mark.parametrize("shape,center,ell,truncated", [
+    ((12, 10), (3, 8), 0.8, False),
+    ((40, 40), (1, 38), 0.5, True),
+])
+def test_envelope_emitter_2d_matches_double_loop(shape, center, ell, truncated):
+    """Same cells, order and coefficients as an explicit double loop over the
+    offsets (wrapped at the edges; truncated below the cutoff on 40x40)."""
+    model = build_checkerboard(*shape)
+    reach = math.ceil(-ell * math.log(1e-12))
+    hx, hy = (min(reach, n // 2) for n in shape)
+    cells, coeffs = [], []
+    for dx in range(-hx, hx + 1):
+        for dy in range(-hy, hy + 1):
+            c = math.exp(-math.hypot(dx, dy) / ell)
+            if c < 1e-12:
+                continue
+            cells.append(((center[0] + dx) % shape[0],
+                          (center[1] + dy) % shape[1]))
+            coeffs.append(c)
+    em = envelope_emitter(model, 0.1, 1e-3, center, ell)
+    assert em == cls_superposition_emitter(model, 0.1, 1e-3, cells, coeffs)
+    assert (len(coeffs) < (2 * hx + 1) * (2 * hy + 1)) == truncated
+
+
+def test_envelope_emitter_1d_matches_loop():
+    model = build_sawtooth(60)
+    ell, center = 1.3, 57
+    reach = min(math.ceil(-ell * math.log(1e-12)), 30)
+    cells = [((center + d) % 60,) for d in range(-reach, reach + 1)]
+    coeffs = [math.exp(-abs(d) / ell) for d in range(-reach, reach + 1)]
+    em = envelope_emitter(model, -1.9, 1e-3, center, ell)
+    assert em == cls_superposition_emitter(model, -1.9, 1e-3, cells, coeffs)
 
 
 def test_non_fb_site_state_warns():
     model = build_sawtooth(20)
     em = small_atom(model, -1.9, 1e-3, 5, "a")   # bare a-site leaks out of FB
-    with pytest.warns(UserWarning, match="leaks out of the flat band"):
+    with pytest.warns(UserWarning, match="leaks out of the flat band") as rec:
         giant_bound_state(model, em)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="leaks out of the flat band") as rec2:
         giant_interaction(model, [em, em])
+    # both warnings point at the caller, not into the library
+    assert {w.filename for w in (*rec, *rec2)} == {__file__}
 
 
 def test_giant_interaction_validates():

@@ -178,6 +178,25 @@ def test_cell_index_lexicographic_2d():
     assert model.cell_index((-1, 0)) == model.cell_index((3, 0))
 
 
+@pytest.mark.parametrize("model", [build_sawtooth(7), build_checkerboard(5, 4)],
+                         ids=lambda m: m.name)
+def test_cell_index_wraps_negative_and_large_coordinates(model):
+    """Every coordinate in (-2N, 2N) per axis gives the integer of the
+    explicit lexicographic formula on the wrapped coordinates."""
+    ranges = [range(-2 * n + 1, 2 * n) for n in model.shape]
+    for cell in np.ndindex(*(len(r) for r in ranges)):
+        coords = tuple(r[i] for r, i in zip(ranges, cell))
+        expected = 0
+        for c, n in zip(coords, model.shape):
+            expected = expected * n + c % n
+        assert model.cell_index(coords) == expected
+        assert type(model.cell_index(coords)) is int
+    if model.dim == 1:
+        assert model.cell_index(-1) == model.cell_index(13) == 6
+    with pytest.raises(ConfigError):
+        model.cell_index((0,) * (model.dim + 1))
+
+
 def test_sawtooth_band_energies():
     """Flat band at -2J, dispersive band 2J(1 + cos k)."""
     model = build_sawtooth(16)
@@ -258,6 +277,47 @@ def test_model_from_spec_roundtrip():
         model_from_spec({"model": "nosuch", "N": 8})
     with pytest.raises(ConfigError):
         model_from_spec({"N": 8})
+
+
+def test_model_from_spec_defaults_come_from_the_builders():
+    assert model_from_spec({"model": "stub", "N": 8}) == build_stub(8)
+    assert model_from_spec({"model": "doublecomb", "N": 6,
+                            "params": {"omega_c": 0.5}}) == \
+        build_double_comb(6, omega_c=0.5)
+    # params a model does not take are ignored
+    assert model_from_spec({"model": "sawtooth", "N": 6, "J": 2.0,
+                            "params": {"Delta": 3.0}}) == build_sawtooth(6, 2.0)
+    assert model_from_spec({"model": "checkerboard", "N": 5}) == \
+        build_checkerboard(5, 5)
+    assert model_from_spec({"model": "chain", "N": [7]}) == build_chain(7)
+
+
+def test_model_from_spec_rejects_short_2d_N():
+    with pytest.raises(ConfigError, match="2-dimensional"):
+        model_from_spec({"model": "checkerboard", "N": [5]})
+
+
+def test_model_from_spec_rejects_long_N():
+    with pytest.raises(ConfigError, match="2-dimensional"):
+        model_from_spec({"model": "checkerboard", "N": [5, 4, 3]})
+
+
+def test_model_from_spec_rejects_2d_N_for_1d_model():
+    with pytest.raises(ConfigError, match="chain is 1-dimensional") as info:
+        model_from_spec({"model": "chain", "N": [10, 10]})
+    assert "int()" not in str(info.value)
+
+
+def test_model_from_spec_rejects_disorder_without_kind():
+    with pytest.raises(ConfigError, match="'kind'"):
+        model_from_spec({"model": "stub", "N": 8,
+                         "disorder": {"strength": 0.1, "seed": 1}})
+
+
+def test_model_from_spec_rejects_non_numeric_strength():
+    with pytest.raises(ConfigError, match="bad disorder spec"):
+        model_from_spec({"model": "stub", "N": 8,
+                         "disorder": {"kind": "diagonal", "strength": "lots"}})
 
 
 def test_bad_disorder_kind():
