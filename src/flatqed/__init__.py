@@ -76,13 +76,11 @@ from flatqed.interactions import (
     spin_dynamics,
 )
 from flatqed.giant import (
-    SiteState,
     cls_emitter,
     cls_superposition_emitter,
     envelope_emitter,
     giant_bound_state,
     giant_interaction,
-    site_state,
 )
 from flatqed.dynamics import (
     TimeSeries,

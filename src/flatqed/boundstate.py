@@ -21,9 +21,10 @@ import numpy as np
 from scipy.optimize import brentq
 
 from flatqed.errors import InsufficientData, NoRootInGap
+from flatqed.flatband import cls_set
 from flatqed.greens import (POLE_GUARD, resolvent_vector, self_energy,
                             spectral_basis)
-from flatqed.lattice import LatticeModel, site_index
+from flatqed.lattice import LatticeModel, real_space_hamiltonian, site_index
 
 
 @dataclass(frozen=True)
@@ -71,8 +72,6 @@ def omega0_for_detuning(model: LatticeModel, delta: float,
         return float(w.min()) - delta
     if reference != "fb":
         raise ValueError(f"unknown detuning reference {reference!r}")
-    from flatqed.flatband import cls_set
-
     cls = cls_set(model)
     # step off the FB toward the adjacent gap: up when the FB sits at or
     # below the dispersive bands, down when it caps the spectrum
@@ -107,7 +106,7 @@ class BoundStateResult:
     localization_length: float | None = field(default=None, compare=False)
 
 
-def _gap_around(w: np.ndarray, omega0: float, J: float) -> tuple[float, float]:
+def _gap_around(w: np.ndarray, omega0: float) -> tuple[float, float]:
     """Edges of the spectral gap containing omega0 (+-inf outside spectrum)."""
     below = w[w < omega0]
     above = w[w > omega0]
@@ -125,7 +124,7 @@ def solve_pole(model: LatticeModel, emitter: EmitterSpec) -> float:
     not change sign between the inward-shifted gap edges."""
     w = spectral_basis(model).w
     guard = POLE_GUARD * model.J
-    lo, hi = _gap_around(w, emitter.omega0, model.J)
+    lo, hi = _gap_around(w, emitter.omega0)
     if math.isfinite(lo) and math.isfinite(hi) and hi - lo < 40 * guard:
         raise NoRootInGap("gap around omega0 narrower than the pole guard")
     g2 = emitter.gbar ** 2
@@ -191,8 +190,6 @@ def total_hamiltonian(model: LatticeModel,
     """Single-excitation Hamiltonian of emitters + bath.
 
     Basis ordering: the emitters first, then all lattice sites."""
-    from flatqed.lattice import real_space_hamiltonian
-
     n_e = len(emitters)
     n = model.n_sites
     H = np.zeros((n_e + n, n_e + n), dtype=complex)

@@ -25,8 +25,8 @@ from flatqed.flatband import cls_set, xi_analytic_1d, xi_numeric
 from flatqed.giant import cls_emitter, giant_interaction
 from flatqed.greens import eigensystem
 from flatqed.interactions import InteractionMatrix, interaction_matrix
-from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
-                             model_from_spec)
+from flatqed.lattice import (MODELS, DisorderSpec, LatticeModel,
+                             apply_disorder, model_from_spec)
 from flatqed.spectrum import band_structure, flat_band_width_real_space
 
 # ---------------------------------------------------------------------------
@@ -68,15 +68,19 @@ def _parse_scan(text: str) -> list[float]:
 
 def _model(args: argparse.Namespace) -> LatticeModel:
     """The model named by the flags: ``--N 40`` is a square lattice in 2D,
-    ``--N 40x30`` gives one cell count per axis."""
+    ``--N 40x30`` gives one cell count per axis.  Only the model parameters
+    given on the command line are passed on, so the builder signatures
+    supply every default and a parameter the model does not take is a
+    configuration error."""
     try:
         shape = [int(p) for p in args.N.lower().split("x")]
     except ValueError as exc:
         raise ConfigError(f"bad lattice size {args.N!r}") from exc
+    params = {"Delta": args.Delta, "t": args.t, "omega_c": args.omega_c}
     return model_from_spec({
         "model": args.model, "N": shape[0] if len(shape) == 1 else shape,
         "J": args.J,
-        "params": {"Delta": args.Delta, "t": args.t, "omega_c": args.omega_c}})
+        "params": {k: v for k, v in params.items() if v is not None}})
 
 
 def _emitter(model: LatticeModel, args: argparse.Namespace,
@@ -273,17 +277,15 @@ def _cmd_disorder(args: argparse.Namespace) -> None:
 
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True,
-                   choices=["chain", "sawtooth", "stub", "doublecomb",
-                            "kagome1d", "checkerboard"])
+    p.add_argument("--model", required=True, choices=MODELS)
     p.add_argument("--N", required=True,
                    help="number of unit cells, e.g. 100 or 40x40")
     p.add_argument("--J", type=float, default=1.0, help="hopping scale")
-    p.add_argument("--Delta", type=float, default=1.0,
+    p.add_argument("--Delta", type=float, default=None,
                    help="stub coupling ratio parameter")
-    p.add_argument("--omega-c", dest="omega_c", type=float, default=0.0,
+    p.add_argument("--omega-c", dest="omega_c", type=float, default=None,
                    help="doublecomb cavity frequency")
-    p.add_argument("--t", type=float, default=1.0,
+    p.add_argument("--t", type=float, default=None,
                    help="doublecomb comb-to-chain coupling")
 
 

@@ -1,4 +1,5 @@
-"""CLS stencils and overlaps, f(k), the weight function xi, and the
+"""CLS algebra: the builders' CLS stencils (:class:`ClsSet`, defined in
+``lattice``) and their overlaps, f(k), the weight function xi, and the
 settsech localization laws in 1D and 2D.
 
 The weight function is the inverse of the CLS Gram matrix,
@@ -19,7 +20,6 @@ commensurate k-grid, without sites x cells or cells x cells matrices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -27,69 +27,16 @@ import numpy as np
 
 from flatqed.errors import SingularF, UnsupportedLattice
 from flatqed.greens import FlatBandProjector
-from flatqed.lattice import LatticeModel, site_index
+from flatqed.lattice import ClsSet, LatticeModel, site_index
 from flatqed.spectrum import default_k_grid
-
-StencilEntry = tuple[int, tuple[int, ...], float]
-
-
-@dataclass(frozen=True)
-class ClsSet:
-    """Per-cell compact-localized-state stencil and its overlap data.
-
-    ``stencil`` lists (sublattice id, cell offset, coefficient); the CLS of
-    cell n is the translate of the stencil by n.  ``cls_class`` is the class
-    U (cells covered per direction); ``alphas`` are the signed
-    nearest-neighbour overlaps per direction.
-    """
-
-    lattice: str
-    omega_fb: float
-    stencil: tuple[StencilEntry, ...]
-    cls_class: tuple[int, ...]
-    alphas: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.alphas)
 
 
 def cls_set(model: LatticeModel) -> ClsSet:
-    """The minimal CLS stencil of a flat-band builder model."""
-    J = model.J
-    if model.name == "sawtooth":
-        h = 0.5
-        return ClsSet(
-            "sawtooth", -2.0 * J,
-            ((0, (0,), h), (0, (1,), h), (1, (0,), -math.sqrt(2) * h)),
-            (2,), (0.25,))
-    if model.name == "stub":
-        Delta = model.param("Delta")
-        norm = 1.0 / math.sqrt(2.0 + Delta)
-        return ClsSet(
-            "stub", 0.0,
-            ((0, (0,), norm), (0, (1,), norm), (2, (0,), -math.sqrt(Delta) * norm)),
-            (2,), (1.0 / (2.0 + Delta),))
-    if model.name == "doublecomb":
-        r = 1.0 / math.sqrt(2.0)
-        return ClsSet(
-            "doublecomb", model.param("omega_c"),
-            ((0, (0,), r), (1, (0,), -r)),
-            (1,), (0.0,))
-    if model.name == "kagome1d":
-        r = 1.0 / math.sqrt(6.0)
-        return ClsSet(
-            "kagome1d", 2.0 * J,
-            ((2, (0,), r), (2, (1,), r),
-             (0, (0,), -r), (1, (0,), -r), (3, (0,), -r), (4, (0,), -r)),
-            (2,), (1.0 / 6.0,))
-    if model.name == "checkerboard":
-        h = 0.5
-        return ClsSet(
-            "checkerboard", 0.0,
-            ((0, (0, 0), h), (0, (-1, 0), -h), (1, (0, 0), h), (1, (0, 1), -h)),
-            (2, 2), (-0.25, -0.25))
-    raise UnsupportedLattice(f"no CLS set for lattice {model.name!r}")
+    """The CLS stencil a flat-band builder attached to ``model`` (a
+    disordered copy keeps the clean stencil)."""
+    if model.cls is None:
+        raise UnsupportedLattice(f"no CLS set for lattice {model.name!r}")
+    return model.cls
 
 
 def cls_vector(model: LatticeModel, cell: Sequence[int] | int,

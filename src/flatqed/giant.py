@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,23 +24,7 @@ ENVELOPE_CUTOFF = 1e-12
 FB_MEMBERSHIP_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SiteState:
-    """Normalized single-photon state |chi> plus how it was built."""
-
-    chi: np.ndarray
-    provenance: str      # "couplings" | "cls" | "cls-superposition" | "envelope"
-
-    def overlap(self, other: np.ndarray) -> complex:
-        return complex(np.vdot(self.chi, other))
-
-
-def site_state(emitter: EmitterSpec, n_sites: int) -> SiteState:
-    """chi(x_l) = g_l / gbar, zero elsewhere."""
-    return SiteState(chi=emitter.chi(n_sites), provenance="couplings")
-
-
-def _emitter_from_vector(model: LatticeModel, omega0: float, g: float,
+def _emitter_from_vector(omega0: float, g: float,
                          vec: np.ndarray) -> EmitterSpec:
     """Couplings g_l = g * vec_l on the support of a unit-norm vector."""
     support = np.nonzero(np.abs(vec) > 0)[0]
@@ -54,7 +37,7 @@ def cls_emitter(model: LatticeModel, omega0: float, g: float,
                 cls: ClsSet | None = None) -> EmitterSpec:
     """Giant atom whose site state is exactly the CLS of one cell."""
     phi = cls_vector(model, cell, cls)
-    return _emitter_from_vector(model, omega0, g, phi / np.linalg.norm(phi))
+    return _emitter_from_vector(omega0, g, phi / np.linalg.norm(phi))
 
 
 def cls_superposition_emitter(model: LatticeModel, omega0: float, g: float,
@@ -75,7 +58,7 @@ def cls_superposition_emitter(model: LatticeModel, omega0: float, g: float,
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("CLS superposition vanishes")
-    return _emitter_from_vector(model, omega0, g, vec / norm)
+    return _emitter_from_vector(omega0, g, vec / norm)
 
 
 def envelope_emitter(model: LatticeModel, omega0: float, g: float,
@@ -102,18 +85,19 @@ def envelope_emitter(model: LatticeModel, omega0: float, g: float,
     return cls_superposition_emitter(model, omega0, g, cells, coeffs[keep], cls)
 
 
-def fb_membership_defect(model: LatticeModel, emitter: EmitterSpec,
-                         omega_fb: float) -> float:
-    """|| (1 - P_FB) chi ||: zero iff chi lies in the flat-band eigenspace."""
-    chi = emitter.chi(model.n_sites)
-    return float(np.linalg.norm(chi - fb_project(model, omega_fb, chi)))
+def fb_membership_defect(model: LatticeModel, chi: np.ndarray,
+                         omega_fb: float) -> float | np.ndarray:
+    """|| (1 - P_FB) chi || for a site vector chi, or per column of a matrix
+    of site vectors: zero iff chi lies in the flat-band eigenspace."""
+    return np.linalg.norm(chi - fb_project(model, omega_fb, chi), axis=0)
 
 
-def _warn_if_outside_flat_band(model: LatticeModel, emitter: EmitterSpec,
+def _warn_if_outside_flat_band(model: LatticeModel, chi: np.ndarray,
                                omega_fb: float) -> None:
-    """Warn when chi is not (numerically) inside the flat-band eigenspace:
-    CLS-shaped results then hold only approximately."""
-    defect = fb_membership_defect(model, emitter, omega_fb)
+    """Warn when a site state (a column of chi) is not (numerically) inside
+    the flat-band eigenspace: CLS-shaped results then hold only
+    approximately."""
+    defect = float(np.max(fb_membership_defect(model, chi, omega_fb)))
     if defect > FB_MEMBERSHIP_TOL:
         warnings.warn(
             f"site state leaks out of the flat band (defect {defect:.2e}); "
@@ -131,7 +115,7 @@ def giant_bound_state(model: LatticeModel, emitter: EmitterSpec,
     hold only approximately."""
     if omega_fb is None:
         omega_fb = cls_set(model).omega_fb
-    _warn_if_outside_flat_band(model, emitter, omega_fb)
+    _warn_if_outside_flat_band(model, emitter.chi(model.n_sites), omega_fb)
     return bs_wavefunction(model, emitter, omega_bs=emitter.omega0)
 
 
@@ -142,8 +126,8 @@ def giant_interaction(model: LatticeModel, emitters: Sequence[EmitterSpec],
         K_{nn'} = gbar^2 / (omega0 - omega_FB) * <chi_n | chi_n'>.
 
     Exact when every chi lies in the FB eigenspace (the resolvent acts as the
-    scalar 1/(omega0 - omega_FB) there); each emitter is checked and a warning
-    raised otherwise."""
+    scalar 1/(omega0 - omega_FB) there); all emitters are checked in one
+    projection and a warning raised otherwise."""
     emitters = tuple(emitters)
     if not emitters:
         raise ValueError("need at least one emitter")
@@ -154,8 +138,8 @@ def giant_interaction(model: LatticeModel, emitters: Sequence[EmitterSpec],
     for em in emitters:
         if abs(em.omega0 - omega0) > 1e-12 * model.J:
             raise ValueError("giant_interaction requires a common omega0")
-        _warn_if_outside_flat_band(model, em, omega_fb)
     chis = np.column_stack([em.chi(model.n_sites) for em in emitters])
+    _warn_if_outside_flat_band(model, chis, omega_fb)
     gram = chis.conj().T @ chis
     K = gbar ** 2 / (omega0 - omega_fb) * gram
     return InteractionMatrix(

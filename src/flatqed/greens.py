@@ -16,7 +16,7 @@ real and imaginary parts).  Larger clean models use the Bloch basis
 commensurate k-grid, reached from site space by FFTs over the cell axes, so
 no N x N matrix is ever formed (lattice Green's functions as Bloch sums;
 Economou, *Green's Functions in Quantum Physics*).  The dense eigensystem
-stays the oracle and the basis of the flat-band projector.
+stays the oracle and the basis of the dense flat-band projector.
 """
 
 from __future__ import annotations
@@ -222,31 +222,40 @@ def chain_green_analytic(J: float, delta: float, d: int) -> float:
     return -((-1) ** (d % 2)) / (2.0 * math.sqrt(J * delta)) * math.exp(-abs(d) / lam)
 
 
-def _fb_columns(model: LatticeModel, omega_fb: float) -> np.ndarray:
-    """Eigenvectors of all states within ``FB_TOL * J`` of omega_fb.
-
-    The eigenvalues are sorted, so the selection is one contiguous slice of
-    U (a view, not a copy)."""
-    w, U = eigensystem(model)
-    sel = np.flatnonzero(np.abs(w - omega_fb) < FB_TOL * model.J)
-    if not sel.size:
+def _fb_mask(model: LatticeModel, w: np.ndarray, omega_fb: float) -> np.ndarray:
+    """Basis states within ``FB_TOL * J`` of omega_fb; raises
+    :class:`NoFlatBand` when there are none."""
+    mask = np.abs(w - omega_fb) < FB_TOL * model.J
+    if not mask.any():
         raise NoFlatBand(
             f"no eigenvalues within {FB_TOL * model.J} of omega = {omega_fb}")
-    return U[:, sel[0]:sel[-1] + 1]
+    return mask
 
 
 def fb_projector(model: LatticeModel, omega_fb: float) -> FlatBandProjector:
-    """Sum of eigenprojectors of all states within ``FB_TOL * J`` of omega_fb."""
-    V = _fb_columns(model, omega_fb)
+    """Sum of eigenprojectors of all states within ``FB_TOL * J`` of omega_fb,
+    as a dense N x N matrix from the dense eigensystem (the oracle of
+    :func:`fb_project`).
+
+    The eigenvalues are sorted, so the states are one contiguous slice of U
+    (a view, not a copy)."""
+    w, U = eigensystem(model)
+    sel = np.flatnonzero(_fb_mask(model, w, omega_fb))
+    V = U[:, sel[0]:sel[-1] + 1]
     return FlatBandProjector(P=V @ V.conj().T, omega_fb=float(omega_fb))
 
 
 def fb_project(model: LatticeModel, omega_fb: float,
                chi: np.ndarray) -> np.ndarray:
-    """P_FB |chi> = V (V^H chi) without forming the N x N projector; the
-    states are those of :func:`fb_projector`."""
-    V = _fb_columns(model, omega_fb)
-    return synthesize(V, spectral_amplitudes(V, chi))
+    """P_FB |chi> for a site vector chi, or for each column of a matrix of
+    site vectors, through the seam's basis: the amplitudes of the states of
+    :func:`fb_projector`, synthesized back to site space, so no N x N
+    matrix is formed."""
+    basis = spectral_basis(model)
+    mask = _fb_mask(model, basis.w, omega_fb)
+    c = basis.amplitudes(chi)
+    c[~mask] = 0
+    return basis.synthesize(c)
 
 
 def fb_green_approx(P: FlatBandProjector, omega: float) -> np.ndarray:

@@ -8,6 +8,11 @@ hopping entry ``(nu, nup, offset, amp)`` stands for the term
 
 summed over all cells ``n`` (periodic wrap on every axis).  Models are
 immutable and hashable, so eigendecompositions can be cached per model.
+
+A flat-band builder also attaches the compact localized state (CLS) that
+spans its flat band, as a :class:`ClsSet` next to the hoppings that produce
+it (flat-band lattices generated from their CLS: Maimaiti et al., PRB 95,
+115135 (2017)).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from flatqed.errors import ConfigError, UnsupportedLattice
 
 Hopping = tuple[int, int, tuple[int, ...], complex]
+StencilEntry = tuple[int, tuple[int, ...], float]
 
 
 @dataclass(frozen=True)
@@ -44,6 +50,29 @@ class DisorderSpec:
 
 
 @dataclass(frozen=True)
+class ClsSet:
+    """Per-cell compact-localized-state stencil of a flat band at omega_fb.
+
+    ``stencil`` lists (sublattice id, cell offset, coefficient); the CLS of
+    cell n is the translate of the stencil by n."""
+
+    omega_fb: float
+    stencil: tuple[StencilEntry, ...]
+
+    @property
+    def alphas(self) -> tuple[float, ...]:
+        """Signed nearest-neighbour overlaps <phi_0|phi_{e_d}> per direction d:
+        the sum of c c' over stencil entries on the same sublattice whose
+        offsets differ by e_d."""
+        dim = len(self.stencil[0][1])
+        steps = [tuple(int(i == d) for i in range(dim)) for d in range(dim)]
+        return tuple(
+            sum((c * cp for s, o, c in self.stencil for sp, op, cp in self.stencil
+                 if s == sp and tuple(a - b for a, b in zip(o, op)) == step), 0.0)
+            for step in steps)
+
+
+@dataclass(frozen=True)
 class LatticeModel:
     """Immutable tight-binding model on a periodic 1D or 2D lattice."""
 
@@ -54,7 +83,7 @@ class LatticeModel:
     onsite: tuple[float, ...]        # per sublattice, units of J
     hoppings: tuple[Hopping, ...]    # one entry per bond; h.c. implied
     J: float
-    params: tuple[tuple[str, float], ...] = ()
+    cls: ClsSet | None = None        # flat-band CLS of the clean model
     disorder: DisorderSpec | None = None
 
     def __post_init__(self) -> None:
@@ -81,12 +110,6 @@ class LatticeModel:
     @property
     def n_sites(self) -> int:
         return self.Q * self.n_cells
-
-    def param(self, key: str) -> float:
-        for k, v in self.params:
-            if k == key:
-                return v
-        raise KeyError(key)
 
     def cell_index(self, cell: Sequence[int] | int) -> int:
         """Linear index of a cell (lexicographic, periodic wrap)."""
@@ -146,7 +169,11 @@ def build_sawtooth(N: int, J: float = 1.0) -> LatticeModel:
         (0, 1, (0,), s2 * J),   # a_n -- b_n
         (0, 1, (-1,), s2 * J),  # a_n -- b_{n-1}
     )
-    return LatticeModel("sawtooth", 1, (N,), ("a", "b"), (0.0, 0.0), hops, J)
+    # CLS: a_n + a_{n+1} - sqrt(2) b_n, normalized
+    h = 0.5
+    cls = ClsSet(-2.0 * J, ((0, (0,), h), (0, (1,), h), (1, (0,), -s2 * h)))
+    return LatticeModel("sawtooth", 1, (N,), ("a", "b"), (0.0, 0.0), hops, J,
+                        cls)
 
 
 def build_stub(N: int, J: float = 1.0, Delta: float = 4.0) -> LatticeModel:
@@ -164,10 +191,12 @@ def build_stub(N: int, J: float = 1.0, Delta: float = 4.0) -> LatticeModel:
         (1, 2, (0,), J),                     # b_n -- c_n
         (2, 1, (1,), J),                     # c_n -- b_{n+1}
     )
+    # CLS: a_n + a_{n+1} - sqrt(Delta) c_n, normalized
+    norm = 1.0 / math.sqrt(2.0 + Delta)
+    cls = ClsSet(0.0, ((0, (0,), norm), (0, (1,), norm),
+                       (2, (0,), -math.sqrt(Delta) * norm)))
     return LatticeModel(
-        "stub", 1, (N,), ("a", "b", "c"), (0.0, 0.0, 0.0), hops, J,
-        params=(("Delta", float(Delta)),),
-    )
+        "stub", 1, (N,), ("a", "b", "c"), (0.0, 0.0, 0.0), hops, J, cls)
 
 
 def build_double_comb(N: int, J: float = 1.0, t: float = 1.0,
@@ -184,11 +213,11 @@ def build_double_comb(N: int, J: float = 1.0, t: float = 1.0,
         (1, 2, (0,), t),   # b_n -- c_n
         (2, 2, (1,), J),   # c_n -- c_{n+1}
     )
+    r = 1.0 / math.sqrt(2.0)
+    cls = ClsSet(float(omega_c), ((0, (0,), r), (1, (0,), -r)))
     return LatticeModel(
         "doublecomb", 1, (N,), ("a", "b", "c"),
-        (float(omega_c), float(omega_c), 0.0), hops, J,
-        params=(("t", float(t)), ("omega_c", float(omega_c))),
-    )
+        (float(omega_c), float(omega_c), 0.0), hops, J, cls)
 
 
 def build_kagome1d(N: int, J: float = 1.0) -> LatticeModel:
@@ -209,10 +238,13 @@ def build_kagome1d(N: int, J: float = 1.0) -> LatticeModel:
         (0, 1, (1,), -J),   # - a_n b_{n+1}
         (3, 4, (-1,), -J),  # - d_{n+1} e_n
     )
+    # CLS: c_n + c_{n+1} - a_n - b_n - d_n - e_n, normalized
+    r = 1.0 / math.sqrt(6.0)
+    cls = ClsSet(2.0 * J, ((2, (0,), r), (2, (1,), r), (0, (0,), -r),
+                           (1, (0,), -r), (3, (0,), -r), (4, (0,), -r)))
     return LatticeModel(
-        "kagome1d", 1, (N,), ("a", "b", "c", "d", "e"),
-        (0.0,) * 5, hops, J,
-    )
+        "kagome1d", 1, (N,), ("a", "b", "c", "d", "e"), (0.0,) * 5, hops, J,
+        cls)
 
 
 def build_checkerboard(Nx: int, Ny: int, J: float = 1.0) -> LatticeModel:
@@ -234,9 +266,13 @@ def build_checkerboard(Nx: int, Ny: int, J: float = 1.0) -> LatticeModel:
         (0, 1, (0, 1), J),
         (0, 1, (1, 1), -J),
     )
+    # CLS on one plaquette: a_n - a_{n-x} + b_n - b_{n+y}, normalized
+    h = 0.5
+    cls = ClsSet(0.0, ((0, (0, 0), h), (0, (-1, 0), -h), (1, (0, 0), h),
+                       (1, (0, 1), -h)))
     return LatticeModel(
         "checkerboard", 2, (Nx, Ny), ("a", "b"), (2.0 * J, 2.0 * J), hops, J,
-    )
+        cls)
 
 
 # name -> (builder, dimension, spec params passed on to the builder); the
@@ -249,6 +285,7 @@ _BUILDERS = {
     "kagome1d": (build_kagome1d, 1, ()),
     "checkerboard": (build_checkerboard, 2, ()),
 }
+MODELS = tuple(_BUILDERS)   # the names model_from_spec accepts
 
 
 def model_from_spec(spec: Mapping) -> LatticeModel:
@@ -257,8 +294,8 @@ def model_from_spec(spec: Mapping) -> LatticeModel:
     Schema: ``{"model": name, "N": int or [Nx, Ny], "J": float,
     "params": {"Delta"|"t"|"omega_c": float}, "disorder": {"kind": ...,
     "strength": float, "seed": int}}``.  ``N`` is an int (a square lattice
-    in 2D) or one cell count per dimension; params the model does not take
-    are ignored.  Malformed input raises :class:`ConfigError`.
+    in 2D) or one cell count per dimension.  Malformed input, including a
+    param the model does not take, raises :class:`ConfigError`.
     """
     try:
         name = spec["model"]
@@ -276,10 +313,17 @@ def model_from_spec(spec: Mapping) -> LatticeModel:
                           f"or a list of length {dim}, got {N!r}")
     try:
         params = dict(spec.get("params", {}))
-        kwargs = {p: float(params[p]) for p in accepted if p in params}
+        unknown = sorted(set(params) - set(accepted))
+        if unknown:
+            raise ConfigError(f"{name} takes no params {unknown}; "
+                              f"it accepts {list(accepted)}")
+        kwargs = {p: float(v) for p, v in params.items()}
         if "J" in spec:
             kwargs["J"] = float(spec["J"])
-        model = builder(*(int(n) for n in shape), **kwargs)
+        cells = [int(n) for n in shape]
+        if cells != shape:
+            raise ConfigError(f"cell counts must be integers, got {N!r}")
+        model = builder(*cells, **kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad lattice spec: {exc}") from exc
     dis = spec.get("disorder")

@@ -22,11 +22,12 @@ from flatqed import greens
 from flatqed.boundstate import (EmitterSpec, bs_profile, bs_wavefunction,
                                 omega0_for_detuning, small_atom, solve_pole)
 from flatqed.cli import main
+from flatqed.dynamics import rabi_frequency
 from flatqed.errors import PoleProximity
 from flatqed.giant import cls_emitter
 from flatqed.greens import (POLE_GUARD, bloch_basis, eigensystem,
-                            resolvent_form, resolvent_vector, self_energy,
-                            spectral_basis)
+                            fb_project, fb_projector, resolvent_form,
+                            resolvent_vector, self_energy, spectral_basis)
 from flatqed.interactions import interaction_matrix
 from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
                              bloch_hamiltonian, build_chain,
@@ -51,9 +52,7 @@ BLOCH_MODELS = [
     build_checkerboard(6, 6),
     FLUX_SAWTOOTH,
 ]
-CLS_MODELS = [m for m in BLOCH_MODELS
-              if m.name in ("sawtooth", "stub", "doublecomb", "kagome1d",
-                            "checkerboard")]
+CLS_MODELS = [m for m in BLOCH_MODELS if m.cls is not None]
 bloch_model = st.sampled_from(BLOCH_MODELS)
 
 
@@ -196,6 +195,43 @@ def test_clean_model_above_threshold_never_calls_eigensystem():
     bs_wavefunction(model, em)
     after = eigensystem.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@given(model=st.sampled_from(CLS_MODELS), seed=st.integers(0, 2 ** 16))
+@settings(max_examples=30, deadline=None)
+def test_fb_project_bloch_matches_dense_projector(model, seed):
+    chi = _chi(model, "complex", seed)
+    dense = fb_projector(model, model.cls.omega_fb).P @ chi
+    with bloch_path():
+        assert np.max(np.abs(fb_project(model, model.cls.omega_fb, chi)
+                             - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("model", CLS_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("bloch", [False, True], ids=["dense", "bloch"])
+def test_fb_project_of_identity_is_the_projector(model, bloch):
+    """fb_project maps each column of a matrix: the identity goes to P."""
+    P = fb_projector(model, model.cls.omega_fb).P
+    with bloch_path() if bloch else contextlib.nullcontext():
+        proj = fb_project(model, model.cls.omega_fb, np.eye(model.n_sites))
+    assert np.max(np.abs(proj - P)) < 1e-12
+
+
+def test_rabi_frequency_above_threshold_skips_dense_eigh():
+    """Above DENSE_MAX_SITES the flat-band projection takes the Bloch basis:
+    no eigensystem call, and the result equals the dense V V^T chi."""
+    model = build_sawtooth(greens.DENSE_MAX_SITES // 2 + 1)
+    em = small_atom(model, -2.0, 1e-3, 7, "a")
+    chi = em.chi(model.n_sites).real
+    w, U = np.linalg.eigh(real_space_hamiltonian(model))
+    V = U[:, np.abs(w + 2.0) < greens.FB_TOL]
+    dense = V @ (V.T @ chi)
+    before = eigensystem.cache_info()
+    assert np.max(np.abs(fb_project(model, -2.0, chi) - dense)) < 1e-12
+    omega = rabi_frequency(model, em)
+    after = eigensystem.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert omega == pytest.approx(1e-3 * math.sqrt(chi @ dense), rel=1e-12)
 
 
 def test_disordered_model_above_threshold_takes_dense_path():

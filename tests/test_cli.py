@@ -156,11 +156,20 @@ def test_bad_config_file(tmp_path, capsys):
      lambda: build_kagome1d(6, J=2.0)),
     (["--model", "checkerboard", "--N", "6x5", "--J", "0.5"],
      lambda: build_checkerboard(6, 5, J=0.5)),
+    (["--model", "stub", "--N", "8"], lambda: build_stub(8)),
+    (["--model", "doublecomb", "--N", "8"], lambda: build_double_comb(8)),
 ], ids=["chain", "sawtooth", "stub", "doublecomb", "kagome1d",
-        "checkerboard"])
+        "checkerboard", "stub-defaults", "doublecomb-defaults"])
 def test_cli_models_equal_direct_builder_calls(flags, direct):
     args = build_parser().parse_args(["bands"] + flags)
     assert _model(args) == direct()
+
+
+def test_cli_param_the_model_does_not_take_exit_2(capsys):
+    code, _o, err = run(["bands", "--model", "sawtooth", "--N", "8",
+                         "--Delta", "2"], capsys)
+    assert code == 2
+    assert "ConfigError" in err and "Delta" in err
 
 
 def test_cli_square_checkerboard_from_one_size():

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatqed.errors import SingularF
+from flatqed.errors import SingularF, UnsupportedLattice
 from flatqed.flatband import (ClsSet, bs_cls_weights, cls_set, cls_vector, f_of_k,
                               fb_projector_matches, lambda_1d, lambda_2d,
                               projector_cls_expansion,
                               reconstruct_from_weights, settsech, xi_2d_axis,
                               xi_2d_poles, xi_analytic_1d, xi_numeric)
 from flatqed.greens import fb_projector
-from flatqed.lattice import (build_checkerboard, build_double_comb,
+from flatqed.lattice import (DisorderSpec, apply_disorder, build_chain,
+                             build_checkerboard, build_double_comb,
                              build_kagome1d, build_sawtooth, build_stub,
                              real_space_hamiltonian)
 
@@ -31,9 +32,8 @@ def _hand_2d_cls():
     alphas.  Not an eigenstate of the checkerboard; used for the algebra."""
     u, v, w = 0.8, 0.2, 0.5
     z = math.sqrt(1.0 - u * u - v * v - w * w)
-    return ClsSet("hand2d", 0.0,
-                  ((0, (0, 0), u), (0, (1, 0), v), (1, (0, 0), w), (1, (0, 1), z)),
-                  (2, 2), (u * v, w * z))
+    return ClsSet(0.0, ((0, (0, 0), u), (0, (1, 0), v), (1, (0, 0), w),
+                        (1, (0, 1), z)))
 
 
 # (cls, model): every CLS builder with a complete basis, kagome1d (whose CLS
@@ -94,6 +94,32 @@ def test_alphas_match_cls_overlaps(model):
         expected[tuple(-c for c in shifted)] += alpha
     gram_row = _cls_matrix(model, cls).T @ phi0
     assert np.max(np.abs(gram_row - expected.ravel())) < 1e-12
+
+
+@pytest.mark.parametrize("model,alphas", [
+    (build_sawtooth(10, J=1.7), (0.25,)),
+    (build_stub(10, Delta=0.0), (0.5,)),
+    (build_stub(10, Delta=2.5), (1.0 / 4.5,)),
+    (build_double_comb(10, t=1.2, omega_c=0.3), (0.0,)),
+    (build_kagome1d(8), (1.0 / 6.0,)),
+    (build_checkerboard(6, 5), (-0.25, -0.25)),
+], ids=["sawtooth", "stub-0", "stub-2.5", "doublecomb", "kagome1d",
+        "checkerboard"])
+def test_alphas_closed_forms(model, alphas):
+    """The overlaps computed from each builder's stencil are the closed
+    forms 1/4, 1/(2 + Delta), 0, 1/6 and -1/4."""
+    assert cls_set(model).alphas == pytest.approx(alphas, abs=1e-15)
+
+
+def test_cls_set_needs_a_flat_band_builder():
+    with pytest.raises(UnsupportedLattice, match="chain"):
+        cls_set(build_chain(8))
+
+
+def test_disordered_model_keeps_the_clean_cls():
+    clean = build_stub(8, Delta=2.0)
+    dis = apply_disorder(clean, DisorderSpec("off-diagonal", 0.3, seed=2))
+    assert cls_set(dis) == cls_set(clean)
 
 
 @given(x=st.floats(1e-6, 1.0, allow_nan=False))

@@ -7,7 +7,7 @@ from flatqed.boundstate import EmitterSpec, small_atom
 from flatqed.flatband import cls_set, cls_vector
 from flatqed.giant import (cls_emitter, cls_superposition_emitter,
                            envelope_emitter, fb_membership_defect,
-                           giant_bound_state, giant_interaction, site_state)
+                           giant_bound_state, giant_interaction)
 from flatqed.greens import resolvent_vector
 from flatqed.interactions import interaction_matrix
 from flatqed.lattice import (build_checkerboard, build_sawtooth, build_stub,
@@ -17,10 +17,9 @@ from flatqed.lattice import (build_checkerboard, build_sawtooth, build_stub,
 def test_site_state_small_atom_limit():
     model = build_sawtooth(10)
     em = small_atom(model, -1.9, 1e-3, 4, "a")
-    s = site_state(em, model.n_sites)
     expected = np.zeros(model.n_sites)
     expected[site_index(model, 4, "a")] = 1.0
-    assert np.allclose(s.chi, expected)
+    assert np.allclose(em.chi(model.n_sites), expected)
 
 
 def test_site_state_two_equal_couplings():
@@ -28,19 +27,18 @@ def test_site_state_two_equal_couplings():
     x1 = site_index(model, 2, "a")
     x2 = site_index(model, 6, "a")
     em = EmitterSpec(omega0=-1.9, couplings=((x1, 1e-3), (x2, 1e-3)))
-    s = site_state(em, model.n_sites)
-    assert s.chi[x1] == pytest.approx(1 / math.sqrt(2))
-    assert s.chi[x2] == pytest.approx(1 / math.sqrt(2))
+    chi = em.chi(model.n_sites)
+    assert chi[x1] == pytest.approx(1 / math.sqrt(2))
+    assert chi[x2] == pytest.approx(1 / math.sqrt(2))
 
 
 def test_cls_emitter_matches_stencil():
     model = build_sawtooth(10)
     em = cls_emitter(model, -1.9, 1e-3, 3)
-    s = site_state(em, model.n_sites)
     phi = cls_vector(model, 3)
-    assert abs(abs(np.vdot(s.chi, phi)) - 1.0) < 1e-14
+    assert abs(abs(np.vdot(em.chi(model.n_sites), phi)) - 1.0) < 1e-14
     assert em.gbar == pytest.approx(1e-3)
-    assert fb_membership_defect(model, em, -2.0) < 1e-12
+    assert fb_membership_defect(model, em.chi(model.n_sites), -2.0) < 1e-12
 
 
 def test_giant_bound_state_cls_fidelity_and_scaling():
@@ -117,7 +115,7 @@ def test_envelope_emitter_truncation_and_norm():
     assert abs(np.linalg.norm(chi) - 1.0) < 1e-12
     # support truncated where the envelope drops below 1e-12
     assert len(em.couplings) < model.n_sites
-    assert fb_membership_defect(model, em, -2.0) < 1e-10
+    assert fb_membership_defect(model, em.chi(model.n_sites), -2.0) < 1e-10
     with pytest.raises(ValueError):
         envelope_emitter(model, -1.9, 1e-3, 30, ell=-1.0)
 

@@ -284,12 +284,28 @@ def test_model_from_spec_defaults_come_from_the_builders():
     assert model_from_spec({"model": "doublecomb", "N": 6,
                             "params": {"omega_c": 0.5}}) == \
         build_double_comb(6, omega_c=0.5)
-    # params a model does not take are ignored
-    assert model_from_spec({"model": "sawtooth", "N": 6, "J": 2.0,
-                            "params": {"Delta": 3.0}}) == build_sawtooth(6, 2.0)
+    assert model_from_spec({"model": "sawtooth", "N": 6, "J": 2.0}) == \
+        build_sawtooth(6, 2.0)
+    # a param the model does not take is an error, not a silent default
+    with pytest.raises(ConfigError, match=r"sawtooth takes no params \['Delta'\]"):
+        model_from_spec({"model": "sawtooth", "N": 6, "J": 2.0,
+                         "params": {"Delta": 3.0}})
     assert model_from_spec({"model": "checkerboard", "N": 5}) == \
         build_checkerboard(5, 5)
     assert model_from_spec({"model": "chain", "N": [7]}) == build_chain(7)
+
+
+@pytest.mark.parametrize("spec,match", [
+    ({"model": "stub", "N": 8, "params": {"delta": 2}},
+     r"stub takes no params \['delta'\]"),
+    ({"model": "doublecomb", "N": 8, "params": {"t": 1.0, "Delta": 2}},
+     "doublecomb takes no params"),
+    ({"model": "stub", "N": 5.7}, "cell counts must be integers"),
+    ({"model": "checkerboard", "N": [5, 4.5]}, "cell counts must be integers"),
+], ids=["misspelt-param", "foreign-param", "fractional-N", "fractional-2d-N"])
+def test_model_from_spec_rejects_bad_input(spec, match):
+    with pytest.raises(ConfigError, match=match):
+        model_from_spec(spec)
 
 
 def test_model_from_spec_rejects_short_2d_N():
