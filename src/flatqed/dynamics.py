@@ -1,9 +1,43 @@
 """Exact single-excitation dynamics and vacuum Rabi analysis.
 
-The full emitters+bath single-excitation Hamiltonian is diagonalized once by
-:func:`propagate` (shared with the effective spin model); time evolution is
-then exact at every requested time.  On resonance with an isolated flat band
-the atomic population oscillates as cos^2(Omega t) with
+A single excitation shared by the emitters and the bath never leaves
+
+    span{emitters} + span{P_E g_j chi_j},
+
+where P_E projects onto the bath eigenspace of energy E and g_j chi_j is the
+coupling vector of emitter j (modified eigenproblems: Golub, SIAM Rev. 15,
+318 (1973); exact emitter dynamics in structured baths: Gonzalez-Tudela &
+Cirac, PRA 96, 043811 (2017)).  For a clean model :func:`evolve` works in
+that subspace, in the resolvent seam's basis
+(:func:`flatqed.greens.spectral_basis`: the dense eigensystem or the Bloch
+basis):
+
+1. the amplitude columns C = U^H [g_1 chi_1 ... g_n chi_n], plus the photon
+   part of an explicit initial vector;
+2. the sorted bath energies are cut into runs whose neighbours lie within
+   tol = ``MERGE_PHASE`` / max|t|.  A run whose whole spread is within tol
+   is merged into one level at its mean energy, so no phase moves by more
+   than spread * max|t| <= 1e-10 over the time grid; the levels of a wider
+   run stay separate;
+3. each level's rows of C are reduced to their numerical rank by one small
+   SVD, and the modes that no column reaches are dropped;
+4. the bordered ("arrowhead") matrix of the emitters and the M reduced
+   modes, [[diag(omega0), B^H], [B, diag(E)]], is diagonalized by
+   :func:`propagate`.
+
+One emitter sees the N-fold flat band of the sawtooth as one mode, so the
+Rabi run on 1000 sites is a 253 x 253 problem instead of 1001 x 1001.
+Disordered models have no degeneracy to exploit and keep one dense ``eigh``
+of :func:`~flatqed.boundstate.total_hamiltonian`, which is also the oracle
+of the reduced path.
+
+:func:`propagate` computes only the rows its caller reads (the emitters, and
+the site field through ``basis.synthesize`` when photons are stored), a
+chunk of times at a time, so no (modes x n_t) or (sites x n_t) temporary
+grows with the time grid.
+
+On resonance with an isolated flat band the atomic population oscillates as
+cos^2(Omega t) with
 
     Omega = g sqrt(<chi| P_FB |chi>),
 
@@ -14,13 +48,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from flatqed.boundstate import EmitterSpec, total_hamiltonian
-from flatqed.greens import fb_project, spectral_amplitudes, synthesize
+from flatqed.greens import (_fb_mask, spectral_amplitudes, spectral_basis,
+                            synthesize)
 from flatqed.lattice import LatticeModel
+
+CHUNK_ELEMENTS = 1 << 18   # entries of one (rows x times) temporary
+MERGE_PHASE = 1e-10        # largest phase error of a merged level, spread * max|t|
+RANK_RTOL = 1e-12          # singular values of unit-norm columns kept above this
 
 
 @dataclass(frozen=True)
@@ -29,26 +68,122 @@ class TimeSeries:
 
     t_grid: np.ndarray
     atom_populations: np.ndarray       # shape (n_t, n_emitters)
-    norm_residual: float
+    norm_residual: float               # bound on |norm^2 - 1| over the grid
     photon_populations: np.ndarray | None = None   # shape (n_t, n_sites)
 
 
-def propagate(H: np.ndarray, c0: np.ndarray,
-              t_grid: np.ndarray) -> tuple[np.ndarray, float]:
-    """Amplitudes exp(-i H t) c0 at every t, of shape (n_t, dim), and the
-    largest deviation of their squared norm from 1.
+def propagate(H: np.ndarray, c0: np.ndarray, t_grid: np.ndarray,
+              rows: np.ndarray | None = None,
+              readout: Callable[[np.ndarray], np.ndarray] | None = None,
+              chunk: int | None = None) -> tuple[np.ndarray, float]:
+    """Components ``rows`` (all by default) of exp(-i H t) c0 at every t, of
+    shape (n_t, len(rows)), and a bound on the deviation of the squared norm
+    of the state from 1.
 
     A Hermitian H without imaginary part is diagonalized as a real matrix,
-    and its real eigenvectors are never cast to complex."""
+    and its real eigenvectors are never cast to complex.  Times are taken
+    ``chunk`` at a time, by default as many as keep the (dim x times) phase
+    array within ``CHUNK_ELEMENTS`` entries.  ``readout``, when given, maps
+    each chunk of amplitudes (rows x times) to the (values x times) array
+    returned in their place.  With a = V^H c0 for the eigenvectors V, the
+    bound |a^H a - 1| + ||V^H V - I||_F a^H a holds at every t, since the
+    phases have unit modulus."""
     if not H.imag.any():
         H = H.real
-    w, U = np.linalg.eigh(H)
-    amps = np.exp(-1j * np.outer(w, t_grid))       # (dim, n_t) coefficients
-    amps *= spectral_amplitudes(U, c0)[:, None]
-    amps = synthesize(U, amps).T
-    norms = np.einsum("ij,ij->i", amps.real, amps.real)
-    norms += np.einsum("ij,ij->i", amps.imag, amps.imag)
-    return amps, float(np.max(np.abs(norms - 1.0)))
+    w, V = np.linalg.eigh(H)
+    a = spectral_amplitudes(V, c0)
+    Vr = V if rows is None else V[rows]
+    if chunk is None:
+        chunk = max(1, CHUNK_ELEMENTS // len(w))
+    n_t = len(t_grid)
+    out = None
+    for s in range(0, max(n_t, 1), chunk):   # one pass sizes an empty grid
+        # exp(-i w t) from a real cos and sin: half the cost of complex exp
+        theta = np.outer(w, -t_grid[s:s + chunk])
+        phases = np.empty(theta.shape, dtype=complex)
+        np.cos(theta, out=phases.real)
+        np.sin(theta, out=phases.imag)
+        phases *= a[:, None]
+        x = synthesize(Vr, phases)
+        y = (x if readout is None else readout(x)).T
+        if out is None:
+            out = np.empty((n_t, y.shape[1]), dtype=y.dtype)
+        out[s:s + chunk] = y
+    gram = V.conj().T @ V
+    gram[np.diag_indices_from(gram)] -= 1.0
+    weight = float(np.vdot(a, a).real)
+    return out, abs(weight - 1.0) + float(np.linalg.norm(gram)) * weight
+
+
+def _reduced_problem(model: LatticeModel, emitters: tuple[EmitterSpec, ...],
+                     c0: np.ndarray, explicit: bool, t_max: float
+                     ) -> tuple[np.ndarray, np.ndarray,
+                                Callable[[np.ndarray], np.ndarray]]:
+    """The bordered Hamiltonian of the emitters and the bath modes they
+    reach, the initial vector in its basis, and the map from a chunk of
+    reduced photon amplitudes (modes x times) to the site field."""
+    n_e = len(emitters)
+    basis = spectral_basis(model)
+    cols = [em.chi(model.n_sites) * em.gbar for em in emitters]
+    if explicit:
+        cols.append(c0[n_e:])
+    C = basis.amplitudes(np.column_stack(cols))
+    norms = np.linalg.norm(C, axis=0)
+    norms[norms == 0] = 1.0
+
+    order = np.argsort(basis.w, kind="stable")
+    w = basis.w[order]
+    tol = MERGE_PHASE / t_max if t_max > 0 else math.inf
+    run_start = np.r_[True, np.diff(w) > tol]
+    first = np.flatnonzero(run_start)
+    last = np.r_[first[1:], len(w)] - 1
+    wide = (w[last] - w[first] > tol)[np.cumsum(run_start) - 1]
+    starts = np.flatnonzero(run_start | wide)
+    sizes = np.diff(np.r_[starts, len(w)])
+
+    Cn = C[order] / norms
+    energies, couplings = [np.zeros(0)], [np.zeros((0, len(cols)))]
+    embedding = []
+    n_modes = 0
+    for m in np.unique(sizes):
+        pos = starts[sizes == m][:, None] + np.arange(m)        # (levels, m)
+        W, s, Vh = np.linalg.svd(Cn[pos], full_matrices=False)
+        level_energy = w[pos].mean(axis=1)
+        # one entry per rank index: its modes lie in distinct levels, so
+        # their basis indices never collide when the field is synthesized
+        for i in range(s.shape[1]):
+            keep = s[:, i] > RANK_RTOL
+            count = int(keep.sum())
+            if count == 0:
+                continue
+            energies.append(level_energy[keep])
+            couplings.append(s[keep, i, None] * Vh[keep, i] * norms)
+            embedding.append((order[pos[keep]], W[keep, :, i],
+                              np.arange(n_modes, n_modes + count)))
+            n_modes += count
+    B = np.concatenate(couplings)
+    # a mode's phase is free: make its coupling to the first column real and
+    # non-negative, so a single emitter gives a real bordered matrix
+    phase = np.exp(1j * np.angle(B[:, 0]))
+    B = B * phase.conj()[:, None]
+    B[:, 0] = np.abs(B[:, 0])
+    embedding = [(idx, coef * phase[modes, None], modes)
+                 for idx, coef, modes in embedding]
+
+    H = np.diag(np.concatenate([[em.omega0 for em in emitters],
+                                *energies])).astype(complex)
+    H[n_e:, :n_e] = B[:, :n_e]
+    H[:n_e, n_e:] = B[:, :n_e].conj().T
+    c_red = np.concatenate([c0[:n_e], B[:, n_e] if explicit
+                            else np.zeros(n_modes)])
+
+    def to_sites(x: np.ndarray) -> np.ndarray:
+        c = np.zeros((len(w), x.shape[1]), dtype=complex)
+        for idx, coef, modes in embedding:
+            c[idx] += coef[:, :, None] * x[modes][:, None, :]
+        return basis.synthesize(c)
+
+    return H, c_red, to_sites
 
 
 def evolve(model: LatticeModel, emitters: Sequence[EmitterSpec],
@@ -57,38 +192,65 @@ def evolve(model: LatticeModel, emitters: Sequence[EmitterSpec],
     """Evolve a single excitation under the full atom+bath Hamiltonian.
 
     ``initial`` is either an emitter index or an explicit amplitude vector in
-    the (emitters..., sites...) ordering; it is normalized before use."""
+    the (emitters..., sites...) ordering; it is normalized before use.
+
+    A clean model is evolved in the subspace the emitters (and the photon
+    part of an explicit ``initial``) couple to, as described in the module
+    docstring: degenerate bath levels are merged only where spread * max|t|
+    <= ``MERGE_PHASE``, so populations agree with the dense evolution to
+    ~1e-10.  A disordered model is evolved by one dense ``eigh`` of
+    :func:`~flatqed.boundstate.total_hamiltonian`.  With ``store_photons``
+    the site populations are synthesized a chunk of times at a time."""
     emitters = tuple(emitters)
     n_e = len(emitters)
-    H = total_hamiltonian(model, emitters)
-    dim = H.shape[0]
-    if isinstance(initial, (int, np.integer)):
+    n = model.n_sites
+    explicit = not isinstance(initial, (int, np.integer))
+    if not explicit:
         if not 0 <= int(initial) < n_e:
             raise ValueError("initial emitter index out of range")
-        c0 = np.zeros(dim, dtype=complex)
+        c0 = np.zeros(n_e + n, dtype=complex)
         c0[int(initial)] = 1.0
     else:
         c0 = np.asarray(initial, dtype=complex)
-        if c0.shape != (dim,):
-            raise ValueError(f"initial state must have length {dim}")
+        if c0.shape != (n_e + n,):
+            raise ValueError(f"initial state must have length {n_e + n}")
         c0 = c0 / np.linalg.norm(c0)
     t_grid = np.asarray(t_grid, dtype=float)
-    amps, norm_residual = propagate(H, c0, t_grid)
-    return TimeSeries(
-        t_grid=t_grid,
-        atom_populations=np.abs(amps[:, :n_e]) ** 2,
-        norm_residual=norm_residual,
-        photon_populations=np.abs(amps[:, n_e:]) ** 2 if store_photons else None)
+    if model.disorder is None:
+        t_max = float(np.max(np.abs(t_grid))) if t_grid.size else 0.0
+        H, c0, to_sites = _reduced_problem(model, emitters, c0, explicit,
+                                           t_max)
+    else:
+        H, to_sites = total_hamiltonian(model, emitters), None
+
+    if not store_photons:
+        pops, norm_residual = propagate(H, c0, t_grid, np.arange(n_e),
+                                        lambda x: np.abs(x) ** 2)
+        return TimeSeries(t_grid, pops, norm_residual)
+
+    def readout(x: np.ndarray) -> np.ndarray:
+        field = x[n_e:] if to_sites is None else to_sites(x[n_e:])
+        return np.abs(np.concatenate([x[:n_e], field])) ** 2
+
+    chunk = max(1, CHUNK_ELEMENTS // max(H.shape[0], n))
+    pops, norm_residual = propagate(H, c0, t_grid, readout=readout,
+                                    chunk=chunk)
+    return TimeSeries(t_grid, np.ascontiguousarray(pops[:, :n_e]),
+                      norm_residual, pops[:, n_e:])
 
 
 def rabi_frequency(model: LatticeModel, emitter: EmitterSpec,
                    omega_fb: float | None = None) -> float:
-    """Omega = gbar sqrt(<chi| P_FB |chi>) for an emitter resonant with the FB."""
+    """Omega = gbar sqrt(<chi| P_FB |chi>) for an emitter resonant with the FB.
+
+    The weight is the sum of |c_a|^2 over the flat-band states of the seam's
+    basis, c = U^H chi: one amplitude pass, no synthesis."""
     if omega_fb is None:
         omega_fb = emitter.omega0
-    chi = emitter.chi(model.n_sites)
-    weight = float(np.vdot(chi, fb_project(model, omega_fb, chi)).real)
-    return emitter.gbar * math.sqrt(max(weight, 0.0))
+    basis = spectral_basis(model)
+    c = basis.amplitudes(emitter.chi(model.n_sites))
+    c = c[_fb_mask(model, basis.w, omega_fb)]
+    return emitter.gbar * math.sqrt(float(np.vdot(c, c).real))
 
 
 def fit_rabi_frequency(ts: TimeSeries, emitter_index: int = 0) -> float:

@@ -132,12 +132,14 @@ def bloch_basis(model: LatticeModel) -> SpectralBasis:
         cols = chi.shape[1:]
         xk = np.fft.ifftn(chi.reshape(cells + (Q,) + cols), axes=axes,
                           norm="ortho")
-        c = np.einsum("kvm,kv...->km...", u_conj, xk.reshape((-1, Q) + cols))
-        return c.reshape((-1,) + cols)
+        c = np.einsum("kvm,kv...->km...", u_conj,
+                      xk.reshape((model.n_cells, Q) + cols))
+        return c.reshape((model.n_sites,) + cols)
 
     def synthesize_bloch(c: np.ndarray) -> np.ndarray:
         cols = c.shape[1:]
-        x = np.einsum("kvm,km...->kv...", u, c.reshape((-1, Q) + cols))
+        x = np.einsum("kvm,km...->kv...", u,
+                      c.reshape((model.n_cells, Q) + cols))
         psi = np.fft.fftn(x.reshape(cells + (Q,) + cols), axes=axes,
                           norm="ortho")
         return psi.reshape((model.n_sites,) + cols)

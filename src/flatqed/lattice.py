@@ -123,6 +123,9 @@ class LatticeModel:
 
     def sublattice_id(self, sub: str | int) -> int:
         if isinstance(sub, (int, np.integer)):
+            if not 0 <= sub < self.Q:
+                raise ConfigError(
+                    f"sublattice id {sub} outside range({self.Q})")
             return int(sub)
         try:
             return self.sublattices.index(sub)

@@ -1,14 +1,22 @@
+import cmath
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from flatqed import dynamics, greens
 from flatqed.boundstate import EmitterSpec, small_atom, total_hamiltonian
 from flatqed.dynamics import (evolve, fit_rabi_frequency, propagate,
                               rabi_frequency)
 from flatqed.giant import cls_emitter
-from flatqed.lattice import build_chain, build_sawtooth, build_stub
+from flatqed.lattice import (DisorderSpec, apply_disorder, build_chain,
+                             build_checkerboard, build_double_comb,
+                             build_kagome1d, build_sawtooth, build_stub)
 
 
 def test_decoupled_emitter_stays_excited():
@@ -138,3 +146,232 @@ def test_propagate_real_and_complex_paths_agree():
         exact = expm(-1j * H * t[i]) @ c0
         assert np.max(np.abs(amps[i] - exact)) < 1e-10
         assert np.max(np.abs(amps_g[i] - phase * exact)) < 1e-10
+
+
+def test_norm_residual_bounds_the_measured_norm():
+    """The residual is a bound from the eigenvectors' orthonormality: it
+    covers the squared norm measured from every component at every time."""
+    model = build_sawtooth(8)
+    H = total_hamiltonian(model, [small_atom(model, -1.9, 0.1, 4, "a")])
+    c0 = np.zeros(H.shape[0], dtype=complex)
+    c0[[0, 3]] = (0.6, 0.8j)
+    t = np.linspace(0.0, 30.0, 61)
+    amps, res = propagate(H, c0, t)
+    measured = np.max(np.abs(np.sum(np.abs(amps) ** 2, axis=1) - 1.0))
+    assert 0.0 < measured <= res < 1e-12
+    rows, res_rows = propagate(H, c0, t, rows=[0, 3], chunk=7)
+    assert res_rows == res
+    assert np.max(np.abs(rows - amps[:, [0, 3]])) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the reduced evolve against the dense total_hamiltonian + expm oracle
+# ---------------------------------------------------------------------------
+
+def _assert_matches_expm(model, emitters, initial, t):
+    """Atom and photon populations of ``evolve`` equal |expm(-iHt) c0|^2
+    of the dense atom+bath Hamiltonian to 1e-10 at every time."""
+    ts = evolve(model, emitters, initial, t, store_photons=True)
+    H = total_hamiltonian(model, emitters)
+    n_e = len(emitters)
+    if isinstance(initial, int):
+        c0 = np.zeros(H.shape[0], dtype=complex)
+        c0[initial] = 1.0
+    else:
+        c0 = np.asarray(initial, dtype=complex) / np.linalg.norm(initial)
+    exact = np.abs(np.array([expm(-1j * H * ti) @ c0 for ti in t])) ** 2
+    assert ts.norm_residual < 1e-10
+    assert np.max(np.abs(ts.atom_populations - exact[:, :n_e])) <= 1e-10
+    assert np.max(np.abs(ts.photon_populations - exact[:, n_e:])) <= 1e-10
+    plain = evolve(model, emitters, initial, t)
+    assert np.max(np.abs(plain.atom_populations - exact[:, :n_e])) <= 1e-10
+    return ts
+
+
+def _gauge(model, angles):
+    """The model with hopping (nu, nup) multiplied by
+    exp(i (angles[nu] - angles[nup])): a complex Hamiltonian with the same
+    spectrum and the same degeneracies."""
+    hops = tuple((nu, nup, off, amp * cmath.exp(1j * (angles[nu] - angles[nup])))
+                 for nu, nup, off, amp in model.hoppings)
+    return dataclasses.replace(model, name=f"gauged-{model.name}", hoppings=hops)
+
+
+T_ORACLE = np.linspace(0.0, 40.0, 9)
+
+
+def _oracle_cases():
+    saw, stub = build_sawtooth(10), build_stub(8, Delta=4.0)
+    gauged = _gauge(saw, (0.0, 0.9))
+    assert not np.isreal(gauged.hoppings[1][3])
+    return {
+        "sawtooth-fb-resonant": (saw, [small_atom(saw, -2.0, 0.3, 4, "a")], 0),
+        "stub-fb-resonant": (stub, [small_atom(stub, 0.0, 0.4, 3, "a")], 0),
+        "stub-dark-b-site": (stub, [small_atom(stub, 0.0, 0.4, 3, "b")], 0),
+        "sawtooth-three-small-atoms": (saw, [
+            small_atom(saw, -2.0, 0.3, 2, "a"),
+            small_atom(saw, -1.7, 0.2, 3, "b"),
+            small_atom(saw, 0.5, 0.5, 7, "a")], 1),
+        "sawtooth-cls-giants": (saw, [
+            cls_emitter(saw, -1.95, 0.2, 2), cls_emitter(saw, -1.95, 0.2, 3),
+            small_atom(saw, -2.0, 0.1, 6, "a")], 0),
+        "sawtooth-nearly-parallel-emitters": (saw, [
+            EmitterSpec(-2.0, ((8, 0.3),)),
+            EmitterSpec(-1.9, ((8, 0.3), (12, 3e-4)))], 1),
+        "stub-cls-giants": (stub, [
+            cls_emitter(stub, 0.05, 0.3, 1), cls_emitter(stub, 0.05, 0.3, 2)], 1),
+        "gauged-sawtooth-complex-coupling": (gauged, [
+            EmitterSpec(-2.0, ((8, 0.3 * cmath.exp(0.4j)), (9, -0.2j))),
+            small_atom(gauged, -1.8, 0.25, 1, "a")], 0),
+        "disordered-stub-diagonal": (
+            apply_disorder(stub, DisorderSpec("diagonal", 0.3, seed=2)),
+            [small_atom(stub, 0.0, 0.4, 3, "a"),
+             small_atom(stub, 0.1, 0.2, 5, "c")], 0),
+        "disordered-stub-off-diagonal": (
+            apply_disorder(stub, DisorderSpec("off-diagonal", 0.4, seed=5)),
+            [small_atom(stub, 0.0, 0.4, 3, "a")], 0),
+    }
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_evolve_matches_expm_oracle(name):
+    model, emitters, initial = ORACLE_CASES[name]
+    _assert_matches_expm(model, emitters, initial, T_ORACLE)
+
+
+@pytest.mark.parametrize("disorder", [None, DisorderSpec("diagonal", 0.2, 1)])
+def test_explicit_initial_with_photon_weight_matches_expm(disorder):
+    model = build_sawtooth(10)
+    if disorder is not None:
+        model = apply_disorder(model, disorder)
+    emitters = [small_atom(model, -2.0, 0.3, 4, "a"),
+                small_atom(model, -1.5, 0.2, 6, "b")]
+    rng = np.random.default_rng(11)
+    c0 = rng.normal(size=22) + 1j * rng.normal(size=22)
+    c0[:2] *= 0.1                   # most of the weight in the field
+    _assert_matches_expm(model, emitters, c0, T_ORACLE)
+    # a photon packet with no emitter weight at all
+    c0[:2] = 0.0
+    _assert_matches_expm(model, emitters, c0, T_ORACLE)
+
+
+def test_decoupled_emitters_leave_the_reduced_subspace_empty():
+    """No coupling reaches the bath: the bordered matrix is the emitters
+    alone, and a photon initial state evolves freely next to them."""
+    model = build_sawtooth(10)
+    emitters = [EmitterSpec(0.5, ((0, 0.0),)), EmitterSpec(-1.0, ((3, 0.0),))]
+    H, c_red, _ = dynamics._reduced_problem(
+        model, tuple(emitters), np.r_[1.0, np.zeros(21)].astype(complex),
+        False, 40.0)
+    assert H.shape == (2, 2) and np.allclose(c_red, [1.0, 0.0])
+    ts = _assert_matches_expm(model, emitters, 1, T_ORACLE)
+    assert np.max(np.abs(ts.atom_populations[:, 1] - 1.0)) < 1e-12
+    assert np.max(ts.photon_populations) < 1e-24
+    c0 = np.zeros(22, dtype=complex)
+    c0[[0, 5, 6]] = (0.5, 0.6, 0.3j)
+    _assert_matches_expm(model, emitters, c0, T_ORACLE)
+
+
+def test_reduced_dimension_counts_distinct_levels():
+    """One emitter on an a-site of the sawtooth sees the N-fold flat band as
+    one mode and each +-k pair of the dispersive band as one mode."""
+    model = build_sawtooth(40)
+    em = small_atom(model, -2.0, 1e-3, 20, "a")
+    c0 = np.r_[1.0, np.zeros(model.n_sites)].astype(complex)
+    H, _c, _f = dynamics._reduced_problem(model, (em,), c0, False, 1e3)
+    assert H.shape == (1 + 1 + 21, 1 + 1 + 21)
+    assert not H.imag.any()
+
+
+def test_merge_bound_keeps_near_degenerate_levels_apart():
+    """Levels closer than the merge bound at short times are merged; over a
+    longer grid their splitting resolves and they are kept apart."""
+    model = build_sawtooth(40)
+    em = small_atom(model, -2.0, 1e-3, 20, "a")
+    c0 = np.r_[1.0, np.zeros(model.n_sites)].astype(complex)
+    w = np.sort(greens.spectral_basis(model).w)
+    fb = w[np.abs(w + 2.0) < 1e-8]
+    spread = fb.max() - fb.min()
+    assert spread > 0
+    short = dynamics.MERGE_PHASE / spread / 2
+    long = dynamics.MERGE_PHASE / spread * 2
+    n_short = dynamics._reduced_problem(model, (em,), c0, False, short)[0].shape[0]
+    n_long = dynamics._reduced_problem(model, (em,), c0, False, long)[0].shape[0]
+    assert n_long > n_short
+
+
+CLEAN_MODELS = [build_chain(5), build_sawtooth(4), build_stub(4, Delta=2.0),
+                build_kagome1d(4), build_double_comb(4, t=1.3, omega_c=0.2),
+                build_checkerboard(4, 4), _gauge(build_stub(4), (0.0, 1.1, -0.4))]
+
+
+@st.composite
+def _clean_problems(draw):
+    model = draw(st.sampled_from(CLEAN_MODELS))
+    n = model.n_sites
+    n_e = draw(st.integers(1, 3))
+    emitters = []
+    for _ in range(n_e):
+        sites = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        g = [complex(draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
+             for _ in sites]
+        emitters.append(EmitterSpec(draw(st.floats(-3.0, 3.0)),
+                                    tuple(zip(sites, g))))
+    if draw(st.booleans()):
+        initial = draw(st.integers(0, n_e - 1))
+    else:
+        parts = st.floats(-1.0, 1.0)
+        initial = np.array([complex(draw(parts), draw(parts))
+                            for _ in range(n_e + n)])
+        if np.linalg.norm(initial) < 1e-3:
+            initial[0] = 1.0
+    t = np.linspace(0.0, draw(st.floats(0.0, 60.0)), 5)
+    return model, emitters, initial, t
+
+
+@given(problem=_clean_problems(), bloch=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_reduced_evolve_property(problem, bloch):
+    """Random small clean models, couplings and initial vectors, on the
+    dense or the Bloch basis: the reduced evolve equals expm."""
+    model, emitters, initial, t = problem
+    with pytest.MonkeyPatch.context() as mp:
+        if bloch:
+            mp.setattr(greens, "DENSE_MAX_SITES", 0)
+        _assert_matches_expm(model, emitters, initial, t)
+
+
+def _forbid(name):
+    def raise_(*args, **kwargs):
+        raise AssertionError(f"{name} called on the Bloch path")
+    return raise_
+
+
+def test_large_sawtooth_evolves_in_the_bloch_basis(monkeypatch):
+    """4000 sites: no dense eigensystem and no (n_e + N)^2 matrix; the
+    fitted Rabi frequency is the flat-band law, and the peak allocation does
+    not grow with the time grid beyond one chunk."""
+    model = build_sawtooth(2000)
+    assert model.n_sites > greens.DENSE_MAX_SITES
+    monkeypatch.setattr(greens, "eigensystem", _forbid("eigensystem"))
+    monkeypatch.setattr(dynamics, "total_hamiltonian",
+                        _forbid("total_hamiltonian"))
+    g = 1e-3
+    target = g * math.sqrt(1.0 - 1.0 / math.sqrt(3.0))
+    em = small_atom(model, -2.0, g, 1000, "a")
+    t_end = 1.3 * math.pi / target
+    peaks = []
+    for n_t in (2001, 20001):
+        t = np.linspace(0.0, t_end, n_t)
+        tracemalloc.start()
+        ts = evolve(model, [em], 0, t)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert ts.norm_residual < 1e-10
+        assert fit_rabi_frequency(ts) == pytest.approx(target, abs=2e-3 * target)
+    assert rabi_frequency(model, em) == pytest.approx(target, rel=1e-10)
+    # a (modes x n_t) temporary would add ~1000 * 18000 * 16 B = 288 MB
+    assert peaks[1] - peaks[0] < dynamics.CHUNK_ELEMENTS * 16

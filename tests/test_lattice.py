@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatqed.boundstate import small_atom
 from flatqed.errors import ConfigError, UnsupportedLattice
-from flatqed.lattice import (DisorderSpec, LatticeModel, _disorder_draws,
-                             _is_real, apply_disorder, bloch_hamiltonian,
-                             build_chain, build_checkerboard,
+from flatqed.flatband import cls_vector
+from flatqed.lattice import (ClsSet, DisorderSpec, LatticeModel,
+                             _disorder_draws, _is_real, apply_disorder,
+                             bloch_hamiltonian, build_chain, build_checkerboard,
                              build_double_comb, build_kagome1d,
                              build_sawtooth, build_stub, model_from_spec,
                              real_space_hamiltonian, site_index)
@@ -168,6 +170,22 @@ def test_site_index_ordering():
     assert site_index(model, 6, "a") == 0
     with pytest.raises(ConfigError):
         site_index(model, 0, "z")
+
+
+@pytest.mark.parametrize("sub", [2, 3, -1, np.int64(2)])
+def test_integer_sublattice_outside_range_is_rejected(sub):
+    """An integer id must name one of the Q sublattices: on the sawtooth,
+    id 3 of cell 2 would otherwise be site 7, which is (3, "b")."""
+    model = build_sawtooth(8)
+    assert site_index(model, 2, 1) == site_index(model, 2, "b")
+    assert site_index(model, 2, np.int64(0)) == site_index(model, 2, "a")
+    with pytest.raises(ConfigError, match=r"outside range\(2\)"):
+        site_index(model, 2, sub)
+    with pytest.raises(ConfigError):
+        small_atom(model, -1.9, 1e-3, 2, sub)
+    bad = ClsSet(model.cls.omega_fb, model.cls.stencil + ((sub, (0,), 0.1),))
+    with pytest.raises(ConfigError):
+        cls_vector(model, 2, bad)
 
 
 def test_cell_index_lexicographic_2d():
