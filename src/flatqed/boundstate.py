@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from flatqed.errors import InsufficientData, NoRootInGap
 from flatqed.flatband import cls_set
@@ -115,9 +114,68 @@ def _gap_around(w: np.ndarray, omega0: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
+           rtol: float, maxiter: int) -> float:
+    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of ``brentq.c`` as shipped with scipy: the same sign
+    tests, interpolation and extrapolation steps, stopping rule
+    |x_blk - x_cur|/2 < (xtol + rtol |x_cur|)/2 and order of operations, so
+    it returns bit for bit the root of ``scipy.optimize.brentq``.  A bracket
+    without a sign change, an f that returns NaN, or ``maxiter`` iterations
+    without convergence raise :class:`NoRootInGap`."""
+    def fx(x: float) -> float:
+        y = float(f(x))
+        if math.isnan(y):
+            raise NoRootInGap(f"pole equation is NaN at omega={x!r}")
+        return y
+
+    xpre, xcur = a, b
+    fpre, fcur = fx(xpre), fx(xcur)
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise NoRootInGap(f"no sign change on the bracket ({a}, {b})")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise NoRootInGap(f"pole solve did not converge in {maxiter} iterations")
+
+
 def solve_pole(model: LatticeModel, emitter: EmitterSpec) -> float:
     """Root of  F(omega) = omega - omega0 - gbar^2 <chi|G_B(omega)|chi>  by
-    bisection inside the gap containing omega0.
+    Brent's method inside the gap containing omega0.
 
     F is strictly increasing in a gap (F' = 1 + gbar^2 <chi|G^2|chi> > 1), so
     the root is unique when it exists.  Raises :class:`NoRootInGap` if F does
@@ -156,8 +214,7 @@ def solve_pole(model: LatticeModel, emitter: EmitterSpec) -> float:
     if Fa > 0 or Fb < 0:
         raise NoRootInGap(
             f"pole equation does not change sign in the gap ({a}, {b})")
-    root = brentq(F, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return float(root)
+    return _brent(F, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
 
 def pole_residual(model: LatticeModel, emitter: EmitterSpec,

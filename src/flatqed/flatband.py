@@ -70,6 +70,9 @@ def f_of_k(cls, k) -> float:
     return float(1.0 + 2.0 * np.sum(np.asarray(alphas) * np.cos(kv)))
 
 
+XI_BLOCK_ELEMENTS = 1 << 18  # k-grid entries per block of the 2D xi sum
+
+
 def xi_numeric(cls, delta_n, n_k: int = 4096) -> float:
     """Discrete Brillouin-zone sum (1/N) sum_k e^{i k . dn} / f(k).
 
@@ -85,16 +88,19 @@ def xi_numeric(cls, delta_n, n_k: int = 4096) -> float:
             raise SingularF("f(k) vanishes on the grid")
         val = np.mean(np.cos(k * dn[0]) / f)
         return float(val)
-    # 2D: sum row-by-row over kx to bound memory
+    # 2D: cos(kx dx) @ (1/f) @ cos(ky dy), summed over blocks of kx rows of
+    # at most XI_BLOCK_ELEMENTS entries so memory stays bounded
+    cx = 1.0 + 2.0 * alphas[0] * np.cos(k)
     cy = 2.0 * alphas[1] * np.cos(k)
+    phase_x, phase_y = np.cos(k * dn[0]), np.cos(k * dn[1])
+    rows = max(1, XI_BLOCK_ELEMENTS // n_k)
     acc = 0.0
-    phase_y = np.cos(k * dn[1])
-    for kx in k:
-        f = 1.0 + 2.0 * alphas[0] * np.cos(kx) + cy
+    for i in range(0, n_k, rows):
+        f = cx[i:i + rows, None] + cy
         if np.min(np.abs(f)) < 1e-14:
             raise SingularF("f(k) vanishes on the grid")
-        acc += np.cos(kx * dn[0]) * float(np.sum(phase_y / f))
-    return float(acc / n_k ** 2)
+        acc += float(phase_x[i:i + rows] @ (1.0 / f) @ phase_y)
+    return acc / n_k ** 2
 
 
 def settsech(x: float) -> float:

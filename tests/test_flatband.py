@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatqed import flatband
 from flatqed.errors import SingularF, UnsupportedLattice
 from flatqed.flatband import (ClsSet, bs_cls_weights, cls_set, cls_vector, f_of_k,
                               fb_projector_matches, lambda_1d, lambda_2d,
@@ -188,6 +189,44 @@ def test_xi_2d_axis_matches_numeric(alpha):
         num = xi_numeric((alpha, alpha), (d, 0), n_k=512)
         ana = xi_2d_axis(alpha, d)
         assert ana == pytest.approx(num, rel=1e-8, abs=1e-14)
+
+
+def test_xi_2d_default_grid_matches_axis_form():
+    """The default n_k = 4096 grid takes 64 blocks of kx rows."""
+    for d in (0, 3):
+        assert xi_numeric((0.15, 0.15), (d, 0)) == pytest.approx(
+            xi_2d_axis(0.15, d), rel=1e-9)
+
+
+def _xi_2d_row_loop(alphas, dn, n_k):
+    """The 2D Brillouin-zone sum one kx row at a time."""
+    k = 2.0 * np.pi * np.arange(n_k) / n_k
+    acc = 0.0
+    for kx in k:
+        f = 1.0 + 2.0 * alphas[0] * np.cos(kx) + 2.0 * alphas[1] * np.cos(k)
+        acc += np.cos(kx * dn[0]) * np.sum(np.cos(k * dn[1]) / f)
+    return acc / n_k ** 2
+
+
+@pytest.mark.parametrize("block", [1, 64 * 7, 64 * 64])
+@pytest.mark.parametrize("alphas,dn", [((0.15, 0.15), (3, 0)),
+                                       ((0.2, -0.1), (2, 5)),
+                                       ((-0.05, 0.22), (-4, 1))])
+def test_xi_2d_blocks_match_row_loop(monkeypatch, block, alphas, dn):
+    """Blocks of 1, 7 (uneven) or all 64 rows give the row-by-row sum."""
+    monkeypatch.setattr(flatband, "XI_BLOCK_ELEMENTS", block)
+    assert xi_numeric(alphas, dn, n_k=64) == pytest.approx(
+        _xi_2d_row_loop(alphas, dn, 64), rel=1e-12, abs=1e-16)
+
+
+@pytest.mark.parametrize("block", [1, 64 * 7, 64 * 64])
+@pytest.mark.parametrize("alpha", [0.25, -0.25])
+def test_xi_2d_singular_in_any_block(monkeypatch, block, alpha):
+    """f vanishes at k = (pi, pi) for alpha = 1/4 (a middle block) and at
+    k = 0 for alpha = -1/4 (the first block)."""
+    monkeypatch.setattr(flatband, "XI_BLOCK_ELEMENTS", block)
+    with pytest.raises(SingularF):
+        xi_numeric((alpha, alpha), (1, 0), n_k=64)
 
 
 def test_xi_2d_axis_deep_tail_stable():
