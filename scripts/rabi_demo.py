@@ -19,7 +19,7 @@ def main() -> None:
     g = 1e-3
     saw = build_sawtooth(40)
     em = small_atom(saw, -2.0, g, 20, "a")
-    omega = rabi_frequency(saw, em, -2.0)
+    omega = rabi_frequency(saw, em)
     print(f"sawtooth a-site: Omega/g = {omega / g:.6f} "
           f"(projector formula sqrt(1 - 1/sqrt(3)) = "
           f"{math.sqrt(1 - 1 / math.sqrt(3)):.6f})")

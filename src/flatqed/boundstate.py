@@ -14,7 +14,7 @@ normalization with the atomic amplitude.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,14 +95,13 @@ def small_atom(model: LatticeModel, omega0: float, g: float,
 
 @dataclass(frozen=True)
 class BoundStateResult:
-    """Solved bound state: pole energy, normalized wavefunction, fit slot."""
+    """Solved bound state: pole energy and normalized wavefunction."""
 
     omega_bs: float
     psi: np.ndarray                  # photonic amplitudes over all sites
     c_e: float                       # atomic amplitude (real positive)
     emitter: EmitterSpec
     norm_residual: float = 0.0
-    localization_length: float | None = field(default=None, compare=False)
 
 
 def _gap_around(w: np.ndarray, omega0: float) -> tuple[float, float]:
@@ -206,14 +205,6 @@ def solve_pole(model: LatticeModel, emitter: EmitterSpec) -> float:
         while F(b) < 0:
             b += span
             span *= 2
-    Fa, Fb = F(a), F(b)
-    if Fa == 0.0:
-        return a
-    if Fb == 0.0:
-        return b
-    if Fa > 0 or Fb < 0:
-        raise NoRootInGap(
-            f"pole equation does not change sign in the gap ({a}, {b})")
     return _brent(F, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
 
 
@@ -290,23 +281,20 @@ def bs_profile(result: BoundStateResult, model: LatticeModel,
 
 
 def localization_length_fit(result: BoundStateResult, model: LatticeModel,
-                            sub: str | int, d_min: int = 2,
-                            d_max: int | None = None, axis: int = 0,
-                            floor: float = AMPLITUDE_FLOOR) -> tuple[float, float]:
+                            sub: str | int,
+                            axis: int = 0) -> tuple[float, float]:
     """Least-squares exponential fit of the bound-state tail.
 
     Fits ln|psi(d)| vs cell distance d on the chosen sublattice along one
-    axis; returns (lambda, r^2) with lambda = -1/slope.  The default window
-    skips d in {0, 1} (near-field CLS structure) and runs up to
-    min(N_axis/4, first point below the amplitude floor)."""
+    axis; returns (lambda, r^2) with lambda = -1/slope.  The window skips
+    d in {0, 1} (near-field CLS structure) and runs up to
+    min(N_axis/4, first point at or below ``AMPLITUDE_FLOOR``)."""
     n_axis = model.shape[axis]
-    if d_max is None:
-        d_max = n_axis // 4
-    d_max = min(d_max, n_axis // 2 - 1)
+    d_max = min(n_axis // 4, n_axis // 2 - 1)
     prof = bs_profile(result, model, sub, axis=axis, d_max=d_max)
     ds, ys = [], []
-    for d in range(d_min, d_max + 1):
-        if prof[d] <= floor:
+    for d in range(2, d_max + 1):
+        if prof[d] <= AMPLITUDE_FLOOR:
             break
         ds.append(d)
         ys.append(math.log(prof[d]))

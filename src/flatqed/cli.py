@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from typing import Sequence
@@ -112,28 +113,23 @@ def _fmt(value) -> str:
 
 def _write_rows(rows: list[dict], fieldnames: list[str],
                 out: str | None, fmt: str) -> None:
+    """Write the rows as JSON or CSV text, to ``out`` or to stdout."""
     if fmt == "json":
         text = json.dumps(
             [{k: (_fmt(r[k]) if isinstance(r[k], float) else r[k])
               for k in fieldnames} for r in rows],
             indent=2) + "\n"
-        if out:
-            with open(out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return
-    if fmt != "csv":
-        raise ConfigError(f"unknown output format {fmt!r}")
-    fh = open(out, "w", newline="") if out else sys.stdout
-    try:
-        writer = csv.writer(fh)
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
         writer.writerow(fieldnames)
-        for r in rows:
-            writer.writerow([_fmt(r[k]) for k in fieldnames])
-    finally:
-        if out:
-            fh.close()
+        writer.writerows([_fmt(r[k]) for k in fieldnames] for r in rows)
+        text = buf.getvalue()
+    if out:
+        with open(out, "w", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _write_K(K: InteractionMatrix, args: argparse.Namespace) -> None:
@@ -226,15 +222,14 @@ def _cmd_interactions(args: argparse.Namespace) -> None:
 
 def _cmd_giants(args: argparse.Namespace) -> None:
     model = _model(args)
-    cls = cls_set(model)
     omega0 = _omega0(model, args)
     emitters = []
     for cell_text in args.cls:
         cell = tuple(int(p) for p in cell_text.split(","))
-        emitters.append(cls_emitter(model, omega0, args.g, cell, cls))
+        emitters.append(cls_emitter(model, omega0, args.g, cell))
     if not emitters:
         raise ConfigError("giants needs at least one --cls entry")
-    _write_K(giant_interaction(model, emitters, cls.omega_fb), args)
+    _write_K(giant_interaction(model, emitters), args)
 
 
 def _cmd_dynamics(args: argparse.Namespace) -> None:
@@ -250,7 +245,7 @@ def _cmd_dynamics(args: argparse.Namespace) -> None:
             for t, p in zip(ts.t_grid, ts.atom_populations[:, 0])]
     _write_rows(rows, ["t", "population"], args.out, args.format)
     if args.report_rabi:
-        omega_pred = rabi_frequency(model, em, omega0)
+        omega_pred = rabi_frequency(model, em)
         omega_fit = fit_rabi_frequency(ts)
         sys.stderr.write(
             f"rabi_predicted={_fmt(omega_pred)} rabi_fitted={_fmt(omega_fit)}\n")

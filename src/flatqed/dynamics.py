@@ -53,7 +53,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from flatqed.boundstate import EmitterSpec, total_hamiltonian
-from flatqed.greens import (_fb_mask, spectral_amplitudes, spectral_basis,
+from flatqed.flatband import cls_set
+from flatqed.greens import (fb_weights, spectral_amplitudes, spectral_basis,
                             synthesize)
 from flatqed.lattice import LatticeModel
 
@@ -239,26 +240,23 @@ def evolve(model: LatticeModel, emitters: Sequence[EmitterSpec],
                       norm_residual, pops[:, n_e:])
 
 
-def rabi_frequency(model: LatticeModel, emitter: EmitterSpec,
-                   omega_fb: float | None = None) -> float:
-    """Omega = gbar sqrt(<chi| P_FB |chi>) for an emitter resonant with the FB.
-
-    The weight is the sum of |c_a|^2 over the flat-band states of the seam's
-    basis, c = U^H chi: one amplitude pass, no synthesis."""
-    if omega_fb is None:
-        omega_fb = emitter.omega0
-    basis = spectral_basis(model)
-    c = basis.amplitudes(emitter.chi(model.n_sites))
-    c = c[_fb_mask(model, basis.w, omega_fb)]
-    return emitter.gbar * math.sqrt(float(np.vdot(c, c).real))
+def rabi_frequency(model: LatticeModel, emitter: EmitterSpec) -> float:
+    """Omega = gbar sqrt(<chi| P_FB |chi>), the vacuum Rabi frequency of an
+    emitter resonant with the model's flat band (at ``cls_set(model).omega_fb``,
+    whatever the emitter's own omega0): the flat-band weight of
+    :func:`~flatqed.greens.fb_weights`, one amplitude pass."""
+    inside, _outside = fb_weights(model, cls_set(model).omega_fb,
+                                  emitter.chi(model.n_sites))
+    return emitter.gbar * math.sqrt(float(inside))
 
 
-def fit_rabi_frequency(ts: TimeSeries, emitter_index: int = 0) -> float:
-    """Extract Omega from the first minimum of P_e(t): Omega = pi / (2 t_min).
+def fit_rabi_frequency(ts: TimeSeries) -> float:
+    """Extract Omega from the first minimum of the first emitter's P_e(t):
+    Omega = pi / (2 t_min).
 
     The discrete minimum is refined by a parabola through its three
     neighbouring samples."""
-    p = ts.atom_populations[:, emitter_index]
+    p = ts.atom_populations[:, 0]
     t = ts.t_grid
     interior = np.arange(1, len(p) - 1)
     minima = interior[(p[interior] < p[interior - 1]) & (p[interior] <= p[interior + 1])]

@@ -26,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from flatqed.errors import SingularF, UnsupportedLattice
-from flatqed.greens import FlatBandProjector
 from flatqed.lattice import ClsSet, LatticeModel, site_index
 from flatqed.spectrum import default_k_grid
 
@@ -53,17 +52,16 @@ def cls_vector(model: LatticeModel, cell: Sequence[int] | int,
     return phi
 
 
-def _alphas(obj) -> tuple[float, ...]:
-    if isinstance(obj, ClsSet):
-        return obj.alphas
-    if np.isscalar(obj):
-        return (float(obj),)
-    return tuple(float(a) for a in obj)
+def _alphas(alpha) -> tuple[float, ...]:
+    """One CLS overlap per dimension from a scalar (1D) or a sequence."""
+    if np.isscalar(alpha):
+        return (float(alpha),)
+    return tuple(float(a) for a in alpha)
 
 
-def f_of_k(cls, k) -> float:
+def f_of_k(alpha, k) -> float:
     """f(k) = 1 + 2 sum_d alpha_d cos(k_d); the CLS Gram symbol."""
-    alphas = _alphas(cls)
+    alphas = _alphas(alpha)
     kv = np.atleast_1d(np.asarray(k, dtype=float))
     if kv.shape != (len(alphas),):
         raise ValueError("wavevector dimension mismatch with alphas")
@@ -73,11 +71,11 @@ def f_of_k(cls, k) -> float:
 XI_BLOCK_ELEMENTS = 1 << 18  # k-grid entries per block of the 2D xi sum
 
 
-def xi_numeric(cls, delta_n, n_k: int = 4096) -> float:
+def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
     """Discrete Brillouin-zone sum (1/N) sum_k e^{i k . dn} / f(k).
 
     Raises :class:`SingularF` if f vanishes anywhere on the grid."""
-    alphas = _alphas(cls)
+    alphas = _alphas(alpha)
     dn = np.atleast_1d(np.asarray(delta_n, dtype=int))
     if dn.shape != (len(alphas),):
         raise ValueError("offset dimension mismatch with alphas")
@@ -272,8 +270,3 @@ def reconstruct_from_weights(cls: ClsSet, model: LatticeModel,
     for sub, off, coeff in cls.stencil:
         x[..., sub] += coeff * np.roll(w, off, axis=axes)
     return x.reshape(-1)
-
-
-def fb_projector_matches(P_eigen: FlatBandProjector, P_cls: np.ndarray) -> float:
-    """Max elementwise deviation between the two projector constructions."""
-    return float(np.max(np.abs(P_eigen.P - P_cls)))

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from flatqed.boundstate import BoundStateResult, EmitterSpec, bs_wavefunction
-from flatqed.flatband import ClsSet, cls_set, cls_vector
-from flatqed.greens import fb_project
+from flatqed.flatband import cls_set, cls_vector
+from flatqed.greens import fb_weights
 from flatqed.interactions import InteractionMatrix
 from flatqed.lattice import LatticeModel
 
@@ -33,28 +33,24 @@ def _emitter_from_vector(omega0: float, g: float,
 
 
 def cls_emitter(model: LatticeModel, omega0: float, g: float,
-                cell: Sequence[int] | int,
-                cls: ClsSet | None = None) -> EmitterSpec:
+                cell: Sequence[int] | int) -> EmitterSpec:
     """Giant atom whose site state is exactly the CLS of one cell."""
-    phi = cls_vector(model, cell, cls)
+    phi = cls_vector(model, cell)
     return _emitter_from_vector(omega0, g, phi / np.linalg.norm(phi))
 
 
 def cls_superposition_emitter(model: LatticeModel, omega0: float, g: float,
                               cells: Sequence[Sequence[int] | int],
-                              coeffs: Sequence[complex],
-                              cls: ClsSet | None = None) -> EmitterSpec:
+                              coeffs: Sequence[complex]) -> EmitterSpec:
     """Giant atom coupled to  sum_n c_n |phi_n>, renormalized to unit norm.
 
     Neighbouring CLSs are not orthogonal, so the renormalization uses the
     actual vector norm, not sum |c_n|^2."""
     if len(cells) != len(coeffs):
         raise ValueError("cells and coeffs must have equal length")
-    if cls is None:
-        cls = cls_set(model)
     vec = np.zeros(model.n_sites, dtype=complex)
     for cell, c in zip(cells, coeffs):
-        vec += c * cls_vector(model, cell, cls)
+        vec += c * cls_vector(model, cell)
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("CLS superposition vanishes")
@@ -62,8 +58,7 @@ def cls_superposition_emitter(model: LatticeModel, omega0: float, g: float,
 
 
 def envelope_emitter(model: LatticeModel, omega0: float, g: float,
-                     center: Sequence[int] | int, ell: float,
-                     cls: ClsSet | None = None) -> EmitterSpec:
+                     center: Sequence[int] | int, ell: float) -> EmitterSpec:
     """Giant atom with an exponential envelope of CLSs,  c_n ~ e^{-|n-n0|/ell}.
 
     The superposition is truncated where the envelope drops below 1e-12 and
@@ -82,30 +77,31 @@ def envelope_emitter(model: LatticeModel, omega0: float, g: float,
                        for r in np.sqrt(np.sum(offsets ** 2, axis=1))])
     keep = coeffs >= ENVELOPE_CUTOFF
     cells = (center + offsets[keep]) % model.shape
-    return cls_superposition_emitter(model, omega0, g, cells, coeffs[keep], cls)
+    return cls_superposition_emitter(model, omega0, g, cells, coeffs[keep])
 
 
-def fb_membership_defect(model: LatticeModel, chi: np.ndarray,
-                         omega_fb: float) -> float | np.ndarray:
+def fb_membership_defect(model: LatticeModel,
+                         chi: np.ndarray) -> float | np.ndarray:
     """|| (1 - P_FB) chi || for a site vector chi, or per column of a matrix
-    of site vectors: zero iff chi lies in the flat-band eigenspace."""
-    return np.linalg.norm(chi - fb_project(model, omega_fb, chi), axis=0)
+    of site vectors, at the model's flat band: zero iff chi lies in the
+    flat-band eigenspace."""
+    _inside, outside = fb_weights(model, cls_set(model).omega_fb, chi)
+    return np.sqrt(outside)
 
 
-def _warn_if_outside_flat_band(model: LatticeModel, chi: np.ndarray,
-                               omega_fb: float) -> None:
+def _warn_if_outside_flat_band(model: LatticeModel, chi: np.ndarray) -> None:
     """Warn when a site state (a column of chi) is not (numerically) inside
     the flat-band eigenspace: CLS-shaped results then hold only
     approximately."""
-    defect = float(np.max(fb_membership_defect(model, chi, omega_fb)))
+    defect = float(np.max(fb_membership_defect(model, chi)))
     if defect > FB_MEMBERSHIP_TOL:
         warnings.warn(
             f"site state leaks out of the flat band (defect {defect:.2e}); "
             "CLS-shaped results are only approximate", stacklevel=3)
 
 
-def giant_bound_state(model: LatticeModel, emitter: EmitterSpec,
-                      omega_fb: float | None = None) -> BoundStateResult:
+def giant_bound_state(model: LatticeModel,
+                      emitter: EmitterSpec) -> BoundStateResult:
     """Bound state of a giant atom, psi_BS = gbar G_B(omega0) |chi>.
 
     Evaluated at the bare frequency (leading order in g), so for chi inside
@@ -113,33 +109,30 @@ def giant_bound_state(model: LatticeModel, emitter: EmitterSpec,
     up to normalization.  If the site state is not (numerically) inside the
     flat-band eigenspace a warning is emitted: the CLS-shaped results then
     hold only approximately."""
-    if omega_fb is None:
-        omega_fb = cls_set(model).omega_fb
-    _warn_if_outside_flat_band(model, emitter.chi(model.n_sites), omega_fb)
+    _warn_if_outside_flat_band(model, emitter.chi(model.n_sites))
     return bs_wavefunction(model, emitter, omega_bs=emitter.omega0)
 
 
-def giant_interaction(model: LatticeModel, emitters: Sequence[EmitterSpec],
-                      omega_fb: float | None = None) -> InteractionMatrix:
+def giant_interaction(model: LatticeModel,
+                      emitters: Sequence[EmitterSpec]) -> InteractionMatrix:
     """Flat-band-only interaction of FB-member giants:
 
         K_{nn'} = gbar^2 / (omega0 - omega_FB) * <chi_n | chi_n'>.
 
     Exact when every chi lies in the FB eigenspace (the resolvent acts as the
     scalar 1/(omega0 - omega_FB) there); all emitters are checked in one
-    projection and a warning raised otherwise."""
+    amplitude pass and a warning raised otherwise."""
     emitters = tuple(emitters)
     if not emitters:
         raise ValueError("need at least one emitter")
-    if omega_fb is None:
-        omega_fb = cls_set(model).omega_fb
+    omega_fb = cls_set(model).omega_fb
     omega0 = emitters[0].omega0
     gbar = emitters[0].gbar
     for em in emitters:
         if abs(em.omega0 - omega0) > 1e-12 * model.J:
             raise ValueError("giant_interaction requires a common omega0")
     chis = np.column_stack([em.chi(model.n_sites) for em in emitters])
-    _warn_if_outside_flat_band(model, chis, omega_fb)
+    _warn_if_outside_flat_band(model, chis)
     gram = chis.conj().T @ chis
     K = gbar ** 2 / (omega0 - omega_fb) * gram
     return InteractionMatrix(

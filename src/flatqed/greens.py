@@ -237,7 +237,7 @@ def _fb_mask(model: LatticeModel, w: np.ndarray, omega_fb: float) -> np.ndarray:
 def fb_projector(model: LatticeModel, omega_fb: float) -> FlatBandProjector:
     """Sum of eigenprojectors of all states within ``FB_TOL * J`` of omega_fb,
     as a dense N x N matrix from the dense eigensystem (the oracle of
-    :func:`fb_project`).
+    :func:`fb_weights`).
 
     The eigenvalues are sorted, so the states are one contiguous slice of U
     (a view, not a copy)."""
@@ -247,17 +247,24 @@ def fb_projector(model: LatticeModel, omega_fb: float) -> FlatBandProjector:
     return FlatBandProjector(P=V @ V.conj().T, omega_fb=float(omega_fb))
 
 
-def fb_project(model: LatticeModel, omega_fb: float,
-               chi: np.ndarray) -> np.ndarray:
-    """P_FB |chi> for a site vector chi, or for each column of a matrix of
-    site vectors, through the seam's basis: the amplitudes of the states of
-    :func:`fb_projector`, synthesized back to site space, so no N x N
-    matrix is formed."""
+def fb_weights(model: LatticeModel, omega_fb: float,
+               chi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inside, outside) flat-band weights of a site vector chi, or of each
+    column of a matrix of site vectors: with c = U^H chi in the seam's basis,
+
+        inside  = sum_{a in FB} |c_a|^2 = <chi| P_FB |chi>,
+        outside = sum_{a not in FB} |c_a|^2 = ||(1 - P_FB) chi||^2,
+
+    the flat band being the states of :func:`fb_projector`.  One amplitude
+    pass and no synthesis; ``outside`` is summed directly, not taken as
+    ``|chi|^2 - inside``, so a state inside the flat band reads round-off,
+    not a cancellation."""
     basis = spectral_basis(model)
     mask = _fb_mask(model, basis.w, omega_fb)
     c = basis.amplitudes(chi)
-    c[~mask] = 0
-    return basis.synthesize(c)
+    # vecdot sums conj(c_a) c_a per column by a BLAS dot, as np.vdot does
+    return (np.vecdot(c[mask], c[mask], axis=0).real,
+            np.vecdot(c[~mask], c[~mask], axis=0).real)
 
 
 def fb_green_approx(P: FlatBandProjector, omega: float) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -117,9 +117,6 @@ class LatticeModel:
         if len(cell) != self.dim:
             raise ConfigError("cell coordinate dimension mismatch")
         return int(np.ravel_multi_index(tuple(cell), self.shape, mode="wrap"))
-
-    def cells(self) -> Iterable[tuple[int, ...]]:
-        return np.ndindex(*self.shape)
 
     def sublattice_id(self, sub: str | int) -> int:
         if isinstance(sub, (int, np.integer)):

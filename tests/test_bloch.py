@@ -26,7 +26,7 @@ from flatqed.dynamics import rabi_frequency
 from flatqed.errors import PoleProximity
 from flatqed.giant import cls_emitter
 from flatqed.greens import (POLE_GUARD, bloch_basis, eigensystem,
-                            fb_project, fb_projector, resolvent_form,
+                            fb_projector, fb_weights, resolvent_form,
                             resolvent_vector, self_energy, spectral_basis)
 from flatqed.interactions import interaction_matrix
 from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
@@ -201,25 +201,29 @@ def test_clean_model_above_threshold_never_calls_eigensystem():
 @settings(max_examples=30, deadline=None)
 def test_fb_project_bloch_matches_dense_projector(model, seed):
     chi = _chi(model, "complex", seed)
-    dense = fb_projector(model, model.cls.omega_fb).P @ chi
+    P = fb_projector(model, model.cls.omega_fb).P
     with bloch_path():
-        assert np.max(np.abs(fb_project(model, model.cls.omega_fb, chi)
-                             - dense)) < 1e-12
+        inside, outside = fb_weights(model, model.cls.omega_fb, chi)
+    assert abs(inside - np.vdot(chi, P @ chi).real) < 1e-12
+    assert abs(outside - np.linalg.norm(chi - P @ chi) ** 2) < 1e-12
 
 
 @pytest.mark.parametrize("model", CLS_MODELS, ids=lambda m: m.name)
 @pytest.mark.parametrize("bloch", [False, True], ids=["dense", "bloch"])
 def test_fb_project_of_identity_is_the_projector(model, bloch):
-    """fb_project maps each column of a matrix: the identity goes to P."""
+    """fb_weights weighs each column of a matrix: the columns of the
+    identity give diag(P) inside and 1 - diag(P) outside."""
     P = fb_projector(model, model.cls.omega_fb).P
     with bloch_path() if bloch else contextlib.nullcontext():
-        proj = fb_project(model, model.cls.omega_fb, np.eye(model.n_sites))
-    assert np.max(np.abs(proj - P)) < 1e-12
+        inside, outside = fb_weights(model, model.cls.omega_fb,
+                                     np.eye(model.n_sites))
+    assert np.max(np.abs(inside - np.diag(P).real)) < 1e-12
+    assert np.max(np.abs(outside - (1.0 - np.diag(P).real))) < 1e-12
 
 
 def test_rabi_frequency_above_threshold_skips_dense_eigh():
-    """Above DENSE_MAX_SITES the flat-band projection takes the Bloch basis:
-    no eigensystem call, and the result equals the dense V V^T chi."""
+    """Above DENSE_MAX_SITES the flat-band weights take the Bloch basis:
+    no eigensystem call, and they equal those of the dense V V^T chi."""
     model = build_sawtooth(greens.DENSE_MAX_SITES // 2 + 1)
     em = small_atom(model, -2.0, 1e-3, 7, "a")
     chi = em.chi(model.n_sites).real
@@ -227,7 +231,9 @@ def test_rabi_frequency_above_threshold_skips_dense_eigh():
     V = U[:, np.abs(w + 2.0) < greens.FB_TOL]
     dense = V @ (V.T @ chi)
     before = eigensystem.cache_info()
-    assert np.max(np.abs(fb_project(model, -2.0, chi) - dense)) < 1e-12
+    inside, outside = fb_weights(model, -2.0, chi)
+    assert abs(inside - chi @ dense) < 1e-12
+    assert abs(outside - np.linalg.norm(chi - dense) ** 2) < 1e-12
     omega = rabi_frequency(model, em)
     after = eigensystem.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)

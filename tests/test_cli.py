@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -95,6 +96,26 @@ def test_dynamics_runs(tmp_path, capsys):
     rows = read_csv(out)
     assert len(rows) == 11
     assert float(rows[0]["population"]) == pytest.approx(1.0)
+
+
+def test_detuned_dynamics_reports_rabi_at_the_flat_band(capsys):
+    """The predicted Rabi frequency is taken at the model's flat band, not
+    at the detuned emitter frequency, and the run exits 0."""
+    code, _o, err = run(["dynamics", "--model", "sawtooth", "--N", "100",
+                         "--site", "a:50", "--tmax", "6000", "--nt", "601",
+                         "--delta", "1e-4", "--report-rabi"], capsys)
+    assert code == 0
+    fields = dict(item.split("=") for item in err.split())
+    assert float(fields["rabi_predicted"]) == pytest.approx(
+        1e-3 * math.sqrt(1.0 - 1.0 / math.sqrt(3.0)), rel=1e-12)
+
+
+def test_report_rabi_without_flat_band_exit_2(capsys):
+    code, _o, err = run(["dynamics", "--model", "chain", "--N", "50",
+                         "--site", "a:25", "--tmax", "100", "--nt", "11",
+                         "--omega0", "-2.5", "--report-rabi"], capsys)
+    assert code == 2
+    assert "UnsupportedLattice" in err
 
 
 def test_config_error_exit_2(capsys):

@@ -58,7 +58,7 @@ def test_sawtooth_rabi_frequency_value():
     g = 1e-3
     model = build_sawtooth(40)
     em = small_atom(model, -2.0, g, 20, "a")
-    Omega = rabi_frequency(model, em, -2.0)
+    Omega = rabi_frequency(model, em)
     assert Omega / g == pytest.approx(math.sqrt(1 - 1 / math.sqrt(3)), rel=1e-10)
 
 
@@ -66,7 +66,7 @@ def test_rabi_fit_matches_projector_formula():
     g = 1e-3
     model = build_sawtooth(40)
     em = small_atom(model, -2.0, g, 20, "a")
-    Omega = rabi_frequency(model, em, -2.0)
+    Omega = rabi_frequency(model, em)
     t = np.linspace(0, 1.3 * math.pi / Omega, 4001)
     ts = evolve(model, [em], 0, t)
     fitted = fit_rabi_frequency(ts)
@@ -82,14 +82,14 @@ def test_giant_cls_rabi_is_exactly_g():
     g = 1e-3
     model = build_sawtooth(30)
     em = cls_emitter(model, -2.0, g, 15)
-    assert rabi_frequency(model, em, -2.0) == pytest.approx(g, rel=1e-10)
+    assert rabi_frequency(model, em) == pytest.approx(g, rel=1e-10)
 
 
 def test_stub_b_site_no_rabi():
     """The b sublattice has no FB weight: no oscillations on resonance."""
     model = build_stub(30, Delta=4.0)
     em = small_atom(model, 0.0, 1e-3, 15, "b")
-    assert rabi_frequency(model, em, 0.0) < 1e-8
+    assert rabi_frequency(model, em) < 1e-8
     ts = evolve(model, [em], 0, np.linspace(0, 1e3, 501))
     assert np.max(np.abs(ts.atom_populations[:, 0] - 1.0)) < 1e-6
 
@@ -101,7 +101,7 @@ def test_dispersive_population_bound():
     g, delta = 1e-3, 0.1
     model = build_sawtooth(30)
     em = small_atom(model, -2.0 + delta, g, 15, "a")
-    Omega = rabi_frequency(model, em, -2.0)
+    Omega = rabi_frequency(model, em)
     ts = evolve(model, [em], 0, np.linspace(0, 2e3, 801))
     bound = 1.0 - 4 * (Omega / delta) ** 2 - 4 * (g / (2.0 - delta)) ** 2
     assert np.min(ts.atom_populations[:, 0]) >= bound

@@ -8,7 +8,7 @@ from flatqed.flatband import cls_set, cls_vector
 from flatqed.giant import (cls_emitter, cls_superposition_emitter,
                            envelope_emitter, fb_membership_defect,
                            giant_bound_state, giant_interaction)
-from flatqed.greens import resolvent_vector
+from flatqed.greens import fb_projector, resolvent_vector
 from flatqed.interactions import interaction_matrix
 from flatqed.lattice import (build_checkerboard, build_sawtooth, build_stub,
                              site_index)
@@ -38,7 +38,7 @@ def test_cls_emitter_matches_stencil():
     phi = cls_vector(model, 3)
     assert abs(abs(np.vdot(em.chi(model.n_sites), phi)) - 1.0) < 1e-14
     assert em.gbar == pytest.approx(1e-3)
-    assert fb_membership_defect(model, em.chi(model.n_sites), -2.0) < 1e-12
+    assert fb_membership_defect(model, em.chi(model.n_sites)) < 1e-12
 
 
 def test_giant_bound_state_cls_fidelity_and_scaling():
@@ -115,7 +115,7 @@ def test_envelope_emitter_truncation_and_norm():
     assert abs(np.linalg.norm(chi) - 1.0) < 1e-12
     # support truncated where the envelope drops below 1e-12
     assert len(em.couplings) < model.n_sites
-    assert fb_membership_defect(model, em.chi(model.n_sites), -2.0) < 1e-10
+    assert fb_membership_defect(model, em.chi(model.n_sites)) < 1e-10
     with pytest.raises(ValueError):
         envelope_emitter(model, -1.9, 1e-3, 30, ell=-1.0)
 
@@ -152,6 +152,19 @@ def test_envelope_emitter_1d_matches_loop():
     coeffs = [math.exp(-abs(d) / ell) for d in range(-reach, reach + 1)]
     em = envelope_emitter(model, -1.9, 1e-3, center, ell)
     assert em == cls_superposition_emitter(model, -1.9, 1e-3, cells, coeffs)
+
+
+def test_fb_membership_defect_is_the_leak_norm():
+    """Per column, the defect is ||(1 - P_FB) chi|| from the dense projector:
+    zero for a CLS, sqrt(1 - <x|P_FB|x>) for a bare a-site."""
+    model = build_sawtooth(20)
+    chis = np.column_stack([
+        small_atom(model, -1.9, 1e-3, 5, "a").chi(model.n_sites),
+        cls_emitter(model, -1.9, 1e-3, 8).chi(model.n_sites)])
+    P = fb_projector(model, cls_set(model).omega_fb).P
+    expected = np.linalg.norm(chis - P @ chis, axis=0)
+    assert expected[0] > 0.1
+    assert np.max(np.abs(fb_membership_defect(model, chis) - expected)) < 1e-12
 
 
 def test_non_fb_site_state_warns():

@@ -10,7 +10,7 @@ from flatqed.boundstate import EmitterSpec, solve_pole
 from flatqed.interactions import interaction_matrix
 from flatqed.errors import NoFlatBand, PoleProximity
 from flatqed.greens import (POLE_GUARD, chain_green_analytic, eigensystem,
-                            fb_green_approx, fb_project, fb_projector,
+                            fb_green_approx, fb_projector, fb_weights,
                             resolvent_element, resolvent_form,
                             resolvent_vector, self_energy)
 from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
@@ -201,12 +201,15 @@ def test_solve_pole_root_matches_solve(model, seed, shift, g):
        index=st.integers(0, 11))
 @settings(max_examples=40, deadline=None)
 def test_fb_project_matches_projector(model, seed, real, index):
-    """V (V^H chi) equals the dense projector applied to chi, for the
-    eigenspace of any eigenvalue (degenerate or not)."""
+    """The weights inside and outside the eigenspace of any eigenvalue
+    (degenerate or not) equal chi^H P chi and ||(1 - P) chi||^2 from the
+    dense projector."""
     omega = float(eigensystem(model)[0][index])
     chi = _site_vector(model, seed, real)
-    dense = fb_projector(model, omega).P @ chi
-    assert np.max(np.abs(fb_project(model, omega, chi) - dense)) < 1e-12
+    P = fb_projector(model, omega).P
+    inside, outside = fb_weights(model, omega, chi)
+    assert abs(inside - np.vdot(chi, P @ chi).real) < 1e-12
+    assert abs(outside - np.linalg.norm(chi - P @ chi) ** 2) < 1e-12
 
 
 @given(model=seam_model, seed=st.integers(0, 2**32 - 1), exact=st.booleans())
@@ -228,7 +231,7 @@ def test_interaction_matrix_matches_solve(model, seed, exact):
 
 def test_fb_project_missing_band():
     with pytest.raises(NoFlatBand):
-        fb_project(build_chain(12), 5.0, np.ones(12))
+        fb_weights(build_chain(12), 5.0, np.ones(12))
 
 
 @given(model=seam_model, index=st.integers(0, 11), frac=st.floats(-0.99, 0.99))

@@ -55,7 +55,7 @@ def _loop_hamiltonian(model):
     if diag_dis is not None:
         H[np.arange(n), np.arange(n)] += diag_dis
     bond = 0
-    for cell in model.cells():
+    for cell in np.ndindex(*model.shape):
         ci = model.cell_index(cell)
         for nu, nup, off, amp in model.hoppings:
             cj = model.cell_index(tuple(c + o for c, o in zip(cell, off)))
