@@ -12,9 +12,12 @@ xi has the closed form of a single signed exponential; on a 2D coordinate
 axis it is governed by two branch-point singularities whose locations set the
 two localization lengths returned by :func:`lambda_2d`.
 
-On a finite lattice f(k) = |phi(k)|^2, where phi(k) is the Fourier symbol of
-the stencil, and the CLS expansions are evaluated in that Bloch form on the
-commensurate k-grid, without sites x cells or cells x cells matrices.
+On a finite lattice f(k) = |phi(k)|^2, where phi(k), the Fourier symbol of
+the stencil, is the FFT of the CLS placed at cell 0 by
+:func:`reconstruct_from_weights`, the one placement of a stencil over a field
+of cell weights (:func:`cls_vector`, site by site, is its reference).  The CLS
+expansions are evaluated in that Bloch form on the commensurate k-grid,
+without sites x cells or cells x cells matrices.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 
 from flatqed.errors import SingularF, UnsupportedLattice
 from flatqed.lattice import ClsSet, LatticeModel, site_index
-from flatqed.spectrum import default_k_grid
 
 
 def cls_set(model: LatticeModel) -> ClsSet:
@@ -69,6 +71,7 @@ def f_of_k(alpha, k) -> float:
 
 
 XI_BLOCK_ELEMENTS = 1 << 18  # k-grid entries per block of the 2D xi sum
+AXIS_QUADRATURE_NODES = 256  # Gauss-Legendre nodes on the 2D branch cut
 
 
 def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
@@ -166,7 +169,7 @@ def xi_2d_poles(alpha: float) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=64)
-def _axis_quadrature(alpha: float, n_nodes: int = 256):
+def _axis_quadrature(alpha: float):
     """Precompute the branch-cut quadrature nodes/weights for xi_2d_axis.
 
     Doing the inner (transverse) momentum integral by residues leaves an
@@ -177,7 +180,7 @@ def _axis_quadrature(alpha: float, n_nodes: int = 256):
     """
     z1, z2 = xi_2d_poles(alpha)
     t1, t2 = -z1, -z2          # 0 < t2 < t1 < 1
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(AXIS_QUADRATURE_NODES)
     theta = 0.5 * np.pi * (nodes + 1.0)
     wq = 0.5 * np.pi * weights
     t = 0.5 * (t1 + t2) + 0.5 * (t1 - t2) * np.cos(theta)
@@ -214,18 +217,18 @@ def xi_2d_axis(alpha: float, d: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _cls_symbol(cls: ClsSet, model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
-    """The stencil's Fourier symbol phi(k)[s] = sum_{(s,o,c)} c e^{-ik.o} and
-    the CLS Gram symbol f(k) = |phi(k)|^2 on ``default_k_grid``, shaped
-    (cells..., Q) and (cells...) like ``greens.bloch_basis`` arrays."""
-    k = default_k_grid(model)
-    phi = np.zeros((len(k), model.Q), dtype=complex)
-    for sub, off, coeff in cls.stencil:
-        phi[:, sub] += coeff * np.exp(-1j * (k @ np.asarray(off, dtype=float)))
-    f = np.sum(np.abs(phi) ** 2, axis=1)
+    """The stencil's Fourier symbol phi(k)[s] = sum_{(s,o,c)} c e^{-ik.o}
+    (the FFT of the CLS placed at cell 0) and the CLS Gram symbol
+    f(k) = |phi(k)|^2 on the commensurate k-grid, shaped (cells..., Q) and
+    (cells...) like ``greens.bloch_basis`` arrays."""
+    phi0 = reconstruct_from_weights(cls, model, np.eye(1, model.n_cells))
+    phi = np.fft.fftn(phi0.reshape(model.shape + (model.Q,)),
+                      axes=tuple(range(model.dim)))
+    f = np.sum(np.abs(phi) ** 2, axis=-1)
     if np.min(f) < 1e-14:
         raise SingularF("f(k) vanishes on the lattice k-grid "
                         "(incomplete CLS basis; band touching)")
-    return phi.reshape(model.shape + (model.Q,)), f.reshape(model.shape)
+    return phi, f
 
 
 def projector_cls_expansion(cls: ClsSet, model: LatticeModel) -> np.ndarray:
@@ -251,22 +254,23 @@ def bs_cls_weights(cls: ClsSet, model: LatticeModel, x0: int) -> np.ndarray:
         w_n = sum_{n'} xi_{nn'} phi_{n'}(x0),
 
     so that sum_n w_n phi_n(x) = <x| P_FB |x0>.  With x0 in cell m0 on
-    sublattice s0, w(k) = conj(phi(k)[s0]) e^{-ik.m0} / f(k)."""
+    sublattice s0, w is the inverse FFT of conj(phi(k)[s0]) / f(k) shifted
+    to m0."""
     phi, f = _cls_symbol(cls, model)
     cell, s0 = divmod(x0, model.Q)
     m0 = np.unravel_index(cell, model.shape)
-    k = default_k_grid(model).reshape(model.shape + (model.dim,))
-    w = phi[..., s0].conj() * np.exp(-1j * (k @ np.asarray(m0, dtype=float))) / f
-    return np.fft.ifftn(w).real.reshape(-1)
+    w = np.fft.ifftn(phi[..., s0].conj() / f).real
+    return np.roll(w, m0, axis=tuple(range(model.dim))).reshape(-1)
 
 
 def reconstruct_from_weights(cls: ClsSet, model: LatticeModel,
                              w: np.ndarray) -> np.ndarray:
     """Site-space vector sum_n w_n |phi_n>, as one shifted copy of the
-    weights per stencil entry."""
+    weights per stencil entry (a stencil sublattice outside the model raises
+    :class:`ConfigError`)."""
     w = np.asarray(w).reshape(model.shape)
     axes = tuple(range(model.dim))
     x = np.zeros(model.shape + (model.Q,), dtype=np.result_type(w, float))
     for sub, off, coeff in cls.stencil:
-        x[..., sub] += coeff * np.roll(w, off, axis=axes)
+        x[..., model.sublattice_id(sub)] += coeff * np.roll(w, off, axis=axes)
     return x.reshape(-1)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from flatqed.boundstate import BoundStateResult, EmitterSpec, bs_wavefunction
-from flatqed.flatband import cls_set, cls_vector
+from flatqed.flatband import cls_set, cls_vector, reconstruct_from_weights
 from flatqed.greens import fb_weights
 from flatqed.interactions import InteractionMatrix
 from flatqed.lattice import LatticeModel
@@ -26,7 +26,11 @@ FB_MEMBERSHIP_TOL = 1e-8
 
 def _emitter_from_vector(omega0: float, g: float,
                          vec: np.ndarray) -> EmitterSpec:
-    """Couplings g_l = g * vec_l on the support of a unit-norm vector."""
+    """Couplings g_l = g * vec_l / ||vec|| on the support of vec."""
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise ValueError("CLS superposition vanishes")
+    vec = vec / norm
     support = np.nonzero(np.abs(vec) > 0)[0]
     couplings = tuple((int(x), complex(g * vec[x])) for x in support)
     return EmitterSpec(omega0=float(omega0), couplings=couplings)
@@ -35,49 +39,45 @@ def _emitter_from_vector(omega0: float, g: float,
 def cls_emitter(model: LatticeModel, omega0: float, g: float,
                 cell: Sequence[int] | int) -> EmitterSpec:
     """Giant atom whose site state is exactly the CLS of one cell."""
-    phi = cls_vector(model, cell)
-    return _emitter_from_vector(omega0, g, phi / np.linalg.norm(phi))
+    return _emitter_from_vector(omega0, g, cls_vector(model, cell))
 
 
 def cls_superposition_emitter(model: LatticeModel, omega0: float, g: float,
                               cells: Sequence[Sequence[int] | int],
                               coeffs: Sequence[complex]) -> EmitterSpec:
-    """Giant atom coupled to  sum_n c_n |phi_n>, renormalized to unit norm.
+    """Giant atom coupled to  sum_n c_n |phi_n>, renormalized to unit norm
+    (coefficients of a repeated cell add up).
 
     Neighbouring CLSs are not orthogonal, so the renormalization uses the
     actual vector norm, not sum |c_n|^2."""
     if len(cells) != len(coeffs):
         raise ValueError("cells and coeffs must have equal length")
-    vec = np.zeros(model.n_sites, dtype=complex)
-    for cell, c in zip(cells, coeffs):
-        vec += c * cls_vector(model, cell)
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValueError("CLS superposition vanishes")
-    return _emitter_from_vector(omega0, g, vec / norm)
+    w = np.zeros(model.n_cells, dtype=complex)
+    np.add.at(w, [model.cell_index(cell) for cell in cells], coeffs)
+    return _emitter_from_vector(
+        omega0, g, reconstruct_from_weights(cls_set(model), model, w))
 
 
 def envelope_emitter(model: LatticeModel, omega0: float, g: float,
                      center: Sequence[int] | int, ell: float) -> EmitterSpec:
-    """Giant atom with an exponential envelope of CLSs,  c_n ~ e^{-|n-n0|/ell}.
+    """Giant atom with an exponential envelope of CLSs,  c_n = e^{-r_n/ell}.
 
-    The superposition is truncated where the envelope drops below 1e-12 and
-    wrapped on the periodic lattice (distances measured around the ring);
-    cells are taken in lexicographic order of their offsets from n0."""
+    r_n is the distance from n to the center around the periodic lattice
+    (the shorter way along each axis), so every cell carries exactly one
+    coefficient; coefficients below 1e-12 are dropped."""
     if ell <= 0:
         raise ValueError("envelope length ell must be positive")
     center = np.atleast_1d(center)
     if len(center) != model.dim:
         raise ValueError("center dimension mismatch")
-    cutoff_range = int(math.ceil(-ell * math.log(ENVELOPE_CUTOFF)))
-    half = np.minimum(cutoff_range, np.asarray(model.shape) // 2)
-    offsets = np.indices(2 * half + 1).reshape(model.dim, -1).T - half
+    shape = np.asarray(model.shape)
+    d = (np.indices(model.shape).reshape(model.dim, -1).T - center) % shape
+    d = np.minimum(d, shape - d)
     # math.exp, not np.exp: the two differ in the last bit
-    coeffs = np.array([math.exp(-r / ell)
-                       for r in np.sqrt(np.sum(offsets ** 2, axis=1))])
-    keep = coeffs >= ENVELOPE_CUTOFF
-    cells = (center + offsets[keep]) % model.shape
-    return cls_superposition_emitter(model, omega0, g, cells, coeffs[keep])
+    c = np.array([math.exp(-math.hypot(*r) / ell) for r in d.tolist()])
+    w = np.where(c < ENVELOPE_CUTOFF, 0.0, c).astype(complex)
+    return _emitter_from_vector(
+        omega0, g, reconstruct_from_weights(cls_set(model), model, w))
 
 
 def fb_membership_defect(model: LatticeModel,

@@ -120,38 +120,60 @@ def test_envelope_emitter_truncation_and_norm():
         envelope_emitter(model, -1.9, 1e-3, 30, ell=-1.0)
 
 
+def _torus_distance(x, center, n):
+    """Distance from x to center along a periodic axis of n cells."""
+    return min((x - center) % n, (center - x) % n)
+
+
 @pytest.mark.parametrize("shape,center,ell,truncated", [
     ((12, 10), (3, 8), 0.8, False),
     ((40, 40), (1, 38), 0.5, True),
+    ((8, 6), (2, 5), 100.0, False),
 ])
 def test_envelope_emitter_2d_matches_double_loop(shape, center, ell, truncated):
-    """Same cells, order and coefficients as an explicit double loop over the
-    offsets (wrapped at the edges; truncated below the cutoff on 40x40)."""
+    """One coefficient e^{-r/ell} per cell, r the distance around the torus,
+    as an explicit double loop over the cells (cut below 1e-12 on 40x40;
+    the antipodal row and column of the even axes are counted once)."""
     model = build_checkerboard(*shape)
-    reach = math.ceil(-ell * math.log(1e-12))
-    hx, hy = (min(reach, n // 2) for n in shape)
     cells, coeffs = [], []
-    for dx in range(-hx, hx + 1):
-        for dy in range(-hy, hy + 1):
-            c = math.exp(-math.hypot(dx, dy) / ell)
-            if c < 1e-12:
-                continue
-            cells.append(((center[0] + dx) % shape[0],
-                          (center[1] + dy) % shape[1]))
-            coeffs.append(c)
+    for x in range(shape[0]):
+        for y in range(shape[1]):
+            c = math.exp(-math.hypot(_torus_distance(x, center[0], shape[0]),
+                                     _torus_distance(y, center[1], shape[1]))
+                         / ell)
+            if c >= 1e-12:
+                cells.append((x, y))
+                coeffs.append(c)
     em = envelope_emitter(model, 0.1, 1e-3, center, ell)
     assert em == cls_superposition_emitter(model, 0.1, 1e-3, cells, coeffs)
-    assert (len(coeffs) < (2 * hx + 1) * (2 * hy + 1)) == truncated
+    assert (len(cells) < model.n_cells) == truncated
 
 
 def test_envelope_emitter_1d_matches_loop():
-    model = build_sawtooth(60)
-    ell, center = 1.3, 57
-    reach = min(math.ceil(-ell * math.log(1e-12)), 30)
-    cells = [((center + d) % 60,) for d in range(-reach, reach + 1)]
-    coeffs = [math.exp(-abs(d) / ell) for d in range(-reach, reach + 1)]
-    em = envelope_emitter(model, -1.9, 1e-3, center, ell)
-    assert em == cls_superposition_emitter(model, -1.9, 1e-3, cells, coeffs)
+    """One coefficient per cell from a loop over the ring.  On the even
+    sawtooth 8 with ell = 100 the antipodal cell carries e^{-4/100} once,
+    not twice."""
+    for n, center, ell in ((60, 57, 1.3), (61, 57, 1.3), (8, 2, 100.0)):
+        model = build_sawtooth(n)
+        coeffs = [math.exp(-_torus_distance(x, center, n) / ell)
+                  for x in range(n)]
+        em = envelope_emitter(model, -1.9, 1e-3, center, ell)
+        assert em == cls_superposition_emitter(model, -1.9, 1e-3,
+                                               list(range(n)), coeffs)
+
+
+def test_cls_superposition_repeated_cells_add():
+    """Coefficients of a repeated cell add up, as a sum of single CLSs."""
+    model = build_checkerboard(6, 5)
+    cells = [(1, 2), (4, 4), (1, 2), (2, 2), (4, 4), (1, 2)]
+    coeffs = [0.5, -1.0j, 0.25, 2.0, 0.5, 1.0]
+    em = cls_superposition_emitter(model, 0.1, 1e-3, cells, coeffs)
+    target = sum(c * cls_vector(model, cell) for cell, c in zip(cells, coeffs))
+    target = target / np.linalg.norm(target)
+    assert np.max(np.abs(em.chi(model.n_sites) - target)) < 1e-14
+    with pytest.raises(ValueError, match="vanishes"):
+        cls_superposition_emitter(model, 0.1, 1e-3, [(3, 1), (3, 1)],
+                                  [1.0, -1.0])
 
 
 def test_fb_membership_defect_is_the_leak_norm():

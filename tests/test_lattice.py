@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from flatqed.boundstate import small_atom
 from flatqed.errors import ConfigError, UnsupportedLattice
-from flatqed.flatband import cls_vector
+from flatqed.flatband import (bs_cls_weights, cls_vector,
+                              projector_cls_expansion, reconstruct_from_weights)
 from flatqed.lattice import (ClsSet, DisorderSpec, LatticeModel,
                              _disorder_draws, _is_real, apply_disorder,
                              bloch_hamiltonian, build_chain, build_checkerboard,
@@ -186,6 +187,22 @@ def test_integer_sublattice_outside_range_is_rejected(sub):
     bad = ClsSet(model.cls.omega_fb, model.cls.stencil + ((sub, (0,), 0.1),))
     with pytest.raises(ConfigError):
         cls_vector(model, 2, bad)
+    with pytest.raises(ConfigError):
+        reconstruct_from_weights(bad, model, np.ones(model.n_cells))
+    with pytest.raises(ConfigError):
+        bs_cls_weights(bad, model, 3)
+    with pytest.raises(ConfigError):
+        projector_cls_expansion(bad, model)
+
+
+@pytest.mark.parametrize("J", [0.0, -1.0, math.nan])
+def test_nonpositive_or_nan_J_is_rejected(J):
+    """J sets every scale (POLE_GUARD * J among them), so a model built by
+    hand must have J > 0 like every builder's."""
+    with pytest.raises(ConfigError, match="J must be positive"):
+        LatticeModel("chain", 1, (5,), ("a",), (0.0,), ((0, 0, (1,), 1.0),), J)
+    with pytest.raises(ConfigError, match="J must be positive"):
+        model_from_spec({"model": "stub", "N": 8, "J": J})
 
 
 def test_cell_index_lexicographic_2d():
