@@ -32,26 +32,19 @@ from flatqed.lattice import (
 )
 from flatqed.spectrum import (
     BandStructure,
-    FlatBandInfo,
     band_structure,
     default_k_grid,
-    density_of_states,
-    detect_flat_bands,
 )
 from flatqed.greens import (
     FlatBandProjector,
-    chain_green_analytic,
     eigensystem,
-    fb_green_approx,
     fb_projector,
-    resolvent_element,
     resolvent_vector,
 )
 from flatqed.flatband import (
     ClsSet,
     bs_cls_weights,
     cls_set,
-    f_of_k,
     lambda_1d,
     lambda_2d,
     projector_cls_expansion,
@@ -71,7 +64,6 @@ from flatqed.boundstate import (
 from flatqed.interactions import (
     InteractionMatrix,
     SpinTrace,
-    effective_hamiltonian,
     interaction_matrix,
     spin_dynamics,
 )

@@ -13,6 +13,7 @@ normalization with the atomic amplitude.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -39,6 +40,9 @@ class EmitterSpec:
     def __post_init__(self) -> None:
         if not self.couplings:
             raise ValueError("emitter needs at least one coupling")
+        if not (math.isfinite(self.omega0)
+                and all(cmath.isfinite(g) for _x, g in self.couplings)):
+            raise ValueError("emitter omega0 and couplings must be finite")
 
     @property
     def gbar(self) -> float:

@@ -55,19 +55,12 @@ def cls_vector(model: LatticeModel, cell: Sequence[int] | int,
 
 
 def _alphas(alpha) -> tuple[float, ...]:
-    """One CLS overlap per dimension from a scalar (1D) or a sequence."""
-    if np.isscalar(alpha):
-        return (float(alpha),)
-    return tuple(float(a) for a in alpha)
-
-
-def f_of_k(alpha, k) -> float:
-    """f(k) = 1 + 2 sum_d alpha_d cos(k_d); the CLS Gram symbol."""
-    alphas = _alphas(alpha)
-    kv = np.atleast_1d(np.asarray(k, dtype=float))
-    if kv.shape != (len(alphas),):
-        raise ValueError("wavevector dimension mismatch with alphas")
-    return float(1.0 + 2.0 * np.sum(np.asarray(alphas) * np.cos(kv)))
+    """One finite CLS overlap per dimension from a scalar (1D) or a
+    sequence."""
+    alphas = tuple(float(a) for a in np.atleast_1d(alpha))
+    if not all(map(math.isfinite, alphas)):
+        raise ValueError("CLS overlaps must be finite")
+    return alphas
 
 
 XI_BLOCK_ELEMENTS = 1 << 18  # k-grid entries per block of the 2D xi sum

@@ -1,4 +1,4 @@
-"""Bath resolvent G_B(omega), flat-band projector, and the FB approximation.
+"""Bath resolvent G_B(omega), self-energy, and flat-band weights and projector.
 
 Every consumer reaches the bath through one seam: a spectral basis of the
 model's Hamiltonian, H = U diag(w) U^H, with the maps chi -> c = U^H chi
@@ -21,7 +21,6 @@ stays the oracle and the basis of the dense flat-band projector.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable
@@ -203,27 +202,6 @@ def resolvent_form(model: LatticeModel, omegas: np.ndarray,
     return C.conj().T @ (C / (omegas[None, :] - w[:, None]))
 
 
-def resolvent_element(model: LatticeModel, omega: float,
-                      x: int, xp: int) -> complex:
-    """<x| G_B(omega) |x'> = sum_a u_a(x) u_a*(x') / (omega - e_a)."""
-    sites = np.zeros((model.n_sites, 2))
-    sites[x, 0] = sites[xp, 1] = 1.0
-    return complex(resolvent_form(model, [omega, omega], sites)[0, 1])
-
-
-def chain_green_analytic(J: float, delta: float, d: int) -> float:
-    """Thermodynamic-limit chain Green's function below the band:
-
-        G(d) = -(-1)^d / (2 sqrt(J delta)) * exp(-d / sqrt(J / delta))
-
-    for an energy detuned by delta > 0 below the lower band edge of the
-    positive-hopping chain (G(0) < 0 there).  Leading order in delta/J."""
-    if delta <= 0:
-        raise ValueError("detuning must be positive")
-    lam = math.sqrt(J / delta)
-    return -((-1) ** (d % 2)) / (2.0 * math.sqrt(J * delta)) * math.exp(-abs(d) / lam)
-
-
 def _fb_mask(model: LatticeModel, w: np.ndarray, omega_fb: float) -> np.ndarray:
     """Basis states within ``FB_TOL * J`` of omega_fb; raises
     :class:`NoFlatBand` when there are none."""
@@ -265,11 +243,3 @@ def fb_weights(model: LatticeModel, omega_fb: float,
     # vecdot sums conj(c_a) c_a per column by a BLAS dot, as np.vdot does
     return (np.vecdot(c[mask], c[mask], axis=0).real,
             np.vecdot(c[~mask], c[~mask], axis=0).real)
-
-
-def fb_green_approx(P: FlatBandProjector, omega: float) -> np.ndarray:
-    """Single-flat-band approximation of the resolvent: P / (omega - omega_FB)."""
-    denom = omega - P.omega_fb
-    if denom == 0:
-        raise PoleProximity("omega coincides with the flat-band energy")
-    return P.P / denom

@@ -13,6 +13,7 @@ restricted to i > j plus hermitian conjugate).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,15 +83,6 @@ def interaction_matrix(model: LatticeModel, emitters: Sequence[EmitterSpec],
                              exact_pole=exact_pole)
 
 
-def effective_hamiltonian(K: InteractionMatrix | np.ndarray) -> np.ndarray:
-    """Single-excitation matrix of the effective spin model.
-
-    With the restricted-sum convention this is just the hermitized K
-    (diagonal Lamb shifts included)."""
-    mat = K.K if isinstance(K, InteractionMatrix) else np.asarray(K, dtype=complex)
-    return 0.5 * (mat + mat.conj().T)
-
-
 def spin_dynamics(H_eff: np.ndarray, initial: int | np.ndarray,
                   t_grid: np.ndarray) -> SpinTrace:
     """Exact c(t) = exp(-i H_eff t) c(0) via :func:`flatqed.dynamics.propagate`."""
@@ -123,8 +115,15 @@ def bessel_chain_amplitudes(n: np.ndarray, t: float, kappa1: float) -> np.ndarra
     """Closed form for a translation-invariant NN spin chain started on site 0:
 
         c_n(t) = i^n J_n(-2 kappa_1 t).
-    """
-    from scipy.special import jv
 
+    J_m(x) is coefficient m of the Fourier series of e^{i x sin tau}; the
+    M-point FFT of that function (a periodic trapezoid rule) gives it to
+    round-off for |m| <= max|n|, since the aliased terms J_{m +- M}(x) are
+    negligible once M = 2(|x| + max|n| + 40) (Trefethen & Weideman, SIAM
+    Rev. 56, 385 (2014))."""
     n = np.asarray(n)
-    return (1j ** n) * jv(n, -2.0 * kappa1 * t)
+    x = -2.0 * kappa1 * t
+    M = 2 * (math.ceil(abs(x)) + int(np.abs(n).max(initial=0)) + 40)
+    tau = 2.0 * np.pi * np.arange(M) / M
+    jm = np.fft.fft(np.exp(1j * x * np.sin(tau))).real / M
+    return (1j ** n) * jm[n]

@@ -45,8 +45,8 @@ class DisorderSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("diagonal", "off-diagonal"):
             raise ConfigError(f"unknown disorder kind {self.kind!r}")
-        if self.strength < 0:
-            raise ConfigError("disorder strength must be >= 0")
+        if not (math.isfinite(self.strength) and self.strength >= 0):
+            raise ConfigError("disorder strength must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,11 @@ class LatticeModel:
             raise ConfigError("dimension/shape mismatch")
         if len(self.onsite) != self.Q:
             raise ConfigError("one on-site energy per sublattice required")
-        if not self.J > 0:
-            raise ConfigError("J must be positive")
+        if not 0 < self.J < math.inf:
+            raise ConfigError("J must be positive and finite")
+        amps = [*self.onsite, *(amp for *_ignore, amp in self.hoppings)]
+        if not np.isfinite(np.asarray(amps, dtype=complex)).all():
+            raise ConfigError("on-site energies and hoppings must be finite")
         for nu, nup, off, _amp in self.hoppings:
             if not (0 <= nu < self.Q and 0 <= nup < self.Q):
                 raise ConfigError("hopping sublattice index out of range")

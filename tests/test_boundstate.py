@@ -173,6 +173,10 @@ def test_decoupled_emitter_chi_is_zero():
 def test_emitter_validation():
     with pytest.raises(ValueError):
         EmitterSpec(omega0=0.0, couplings=())
+    for omega0, g in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.nan),
+                      (0.0, complex(math.inf, 0.0))):
+        with pytest.raises(ValueError, match="finite"):
+            EmitterSpec(omega0=omega0, couplings=((0, g),))
     em = EmitterSpec(omega0=0.0, couplings=((99, 1.0),))
     with pytest.raises(ValueError):
         em.chi(10)

@@ -139,6 +139,32 @@ def test_numerical_failure_exit_3(capsys):
     assert "InsufficientData" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["disorder", "--model", "stub", "--N", "10", "--kind", "diagonal",
+     "--strength", "nan", "--seeds", "1"],
+    ["disorder", "--model", "stub", "--N", "10", "--kind", "diagonal",
+     "--strength", "inf", "--seeds", "1"],
+    ["boundstate", "--model", "stub", "--N", "10", "--Delta", "nan",
+     "--delta", "0.01", "--site", "a:5"],
+    ["boundstate", "--model", "stub", "--N", "10", "--Delta", "inf",
+     "--delta", "0.01", "--site", "a:5"],
+    ["boundstate", "--model", "doublecomb", "--N", "10", "--t", "nan",
+     "--delta", "0.01", "--site", "a:5"],
+    ["boundstate", "--model", "doublecomb", "--N", "10", "--omega-c", "nan",
+     "--delta", "0.01", "--site", "a:5"],
+    ["boundstate", "--model", "stub", "--N", "10", "--delta", "nan",
+     "--site", "a:5"],
+    ["boundstate", "--model", "stub", "--N", "10", "--delta", "0.01",
+     "--g", "nan", "--site", "a:5"],
+    ["xi", "--alpha", "nan"],
+], ids=["strength-nan", "strength-inf", "Delta-nan", "Delta-inf", "t-nan",
+        "omega_c-nan", "delta-nan", "g-nan", "alpha-nan"])
+def test_nonfinite_parameter_exit_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and "must be finite" in err
+
+
 def test_missing_detuning_exit_2(capsys):
     code, _o, err = run(["boundstate", "--model", "sawtooth", "--N", "20",
                          "--site", "a:10"], capsys)

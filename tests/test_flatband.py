@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from flatqed import flatband
 from flatqed.errors import SingularF, UnsupportedLattice
-from flatqed.flatband import (ClsSet, bs_cls_weights, cls_set, cls_vector, f_of_k,
+from flatqed.flatband import (ClsSet, bs_cls_weights, cls_set, cls_vector,
                               lambda_1d, lambda_2d, projector_cls_expansion,
                               reconstruct_from_weights, settsech, xi_2d_axis,
                               xi_2d_poles, xi_analytic_1d, xi_numeric)
@@ -16,6 +16,7 @@ from flatqed.lattice import (DisorderSpec, apply_disorder, build_chain,
                              build_checkerboard, build_double_comb,
                              build_kagome1d, build_sawtooth, build_stub,
                              real_space_hamiltonian)
+from flatqed.spectrum import band_structure
 
 FB_MODELS = [
     build_sawtooth(10),
@@ -68,12 +69,17 @@ def _xi_circulant(model, cls):
 
 @pytest.mark.parametrize("model", FB_MODELS, ids=lambda m: m.name)
 def test_cls_is_flat_band_eigenstate(model):
+    """The builder's CLS is an eigenstate at omega_fb, and omega_fb is the
+    energy of a Bloch band of width below 1e-12."""
     cls = cls_set(model)
     H = real_space_hamiltonian(model)
     cell = (2,) if model.dim == 1 else (2, 2)
     phi = cls_vector(model, cell, cls)
     assert abs(np.linalg.norm(phi) - 1.0) < 1e-12
     assert np.max(np.abs(H @ phi - cls.omega_fb * phi)) < 1e-12
+    bands = band_structure(model).bands
+    flat = np.ptp(bands, axis=1) < 1e-12
+    assert np.any(flat & (np.abs(bands.mean(axis=1) - cls.omega_fb) < 1e-12))
 
 
 @pytest.mark.parametrize("model", FB_MODELS, ids=lambda m: m.name)
@@ -153,11 +159,6 @@ def test_xi_symmetric_in_distance():
 def test_xi_singular_at_half():
     with pytest.raises(SingularF):
         xi_numeric(0.5, (0,))
-
-
-def test_f_of_k():
-    assert f_of_k(0.25, (np.pi,)) == pytest.approx(0.5)
-    assert f_of_k((0.25, 0.25), (0.0, 0.0)) == pytest.approx(2.0)
 
 
 def test_lambda_1d_value():

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from flatqed.boundstate import EmitterSpec, solve_pole
 from flatqed.interactions import interaction_matrix
 from flatqed.errors import NoFlatBand, PoleProximity
-from flatqed.greens import (POLE_GUARD, chain_green_analytic, eigensystem,
-                            fb_green_approx, fb_projector, fb_weights,
-                            resolvent_element, resolvent_form,
-                            resolvent_vector, self_energy)
+from flatqed.greens import (POLE_GUARD, eigensystem, fb_projector,
+                            fb_weights, resolvent_form, resolvent_vector,
+                            self_energy)
 from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
-                             build_chain, build_double_comb, build_sawtooth,
-                             build_stub, real_space_hamiltonian)
+                             build_chain, build_sawtooth, build_stub,
+                             real_space_hamiltonian)
 
 # Sawtooth with Peierls phases on two of its bonds: complex hoppings give a
 # complex eigenvector matrix, so the complex-U branch of the seam runs.
@@ -63,35 +62,30 @@ def test_resolvent_identity(omega):
     assert np.max(np.abs((omega * np.eye(model.n_sites) - H) @ g - chi)) < 1e-10
 
 
-def test_resolvent_element_consistent():
-    model = build_sawtooth(10)
-    omega = -1.3
+def _unit(model: LatticeModel, x: int) -> np.ndarray:
     chi = np.zeros(model.n_sites, dtype=complex)
-    chi[4] = 1.0
-    g = resolvent_vector(model, omega, chi)
-    for x in (0, 4, 9):
-        assert resolvent_element(model, omega, x, 4) == pytest.approx(
-            complex(g[x]), abs=1e-13)
+    chi[x] = 1.0
+    return chi
 
 
 def test_chain_green_matches_analytic():
-    """Finite-chain resolvent vs thermodynamic-limit closed form
-    G(d) = (-1)^d e^{-d sqrt(delta/J)} / (2 sqrt(J delta))."""
+    """Finite-chain resolvent vs the thermodynamic-limit closed form a
+    detuning delta below the band, to leading order in delta/J:
+    G(d) = -(-1)^d e^{-d sqrt(delta/J)} / (2 sqrt(J delta))."""
     model = build_chain(2000)
     delta = 0.01
     omega = -2.0 - delta
     x0 = 1000
+    g = resolvent_vector(model, omega, _unit(model, x0)).real
     for d in (0, 1, 5, 20, 50):
-        num = resolvent_element(model, omega, x0 + d, x0).real
-        ana = chain_green_analytic(1.0, delta, d)
-        assert num == pytest.approx(ana, rel=2e-2)
+        ana = -(-1) ** d / (2.0 * math.sqrt(delta)) * math.exp(-d * math.sqrt(delta))
+        assert g[x0 + d] == pytest.approx(ana, rel=2e-2)
 
 
 def test_chain_green_sign_alternation():
     model = build_chain(200)
-    omega = -2.1
     x0 = 100
-    vals = [resolvent_element(model, omega, x0 + d, x0).real for d in range(8)]
+    vals = resolvent_vector(model, -2.1, _unit(model, x0)).real[x0:x0 + 8]
     for d in range(7):
         assert vals[d] * vals[d + 1] < 0
 
@@ -100,12 +94,7 @@ def test_pole_guard():
     model = build_chain(16)
     w, _ = eigensystem(model)
     with pytest.raises(PoleProximity):
-        resolvent_element(model, float(w[0]), 0, 0)
-
-
-def test_chain_green_analytic_validates():
-    with pytest.raises(ValueError):
-        chain_green_analytic(1.0, -0.1, 2)
+        resolvent_vector(model, float(w[0]), _unit(model, 0))
 
 
 def test_fb_projector_properties():
@@ -125,26 +114,15 @@ def test_fb_projector_missing_band():
         fb_projector(build_chain(12), 5.0)
 
 
-def test_fb_green_approx():
-    model = build_double_comb(10, omega_c=0.0)
-    P = fb_projector(model, 0.0)
-    omega = 0.05
-    G_fb = fb_green_approx(P, omega)
-    assert np.allclose(G_fb, P.P / omega)
-    with pytest.raises(PoleProximity):
-        fb_green_approx(P, 0.0)
-
-
 def test_fb_approx_near_isolated_band():
     """For omega close to an isolated FB, the exact resolvent approaches
     P/(omega - omega_FB) on the FB-projected component."""
     model = build_stub(12, Delta=9.0)   # large gap sqrt(9) = 3
     P = fb_projector(model, 0.0)
     omega = 1e-3
-    chi = np.zeros(model.n_sites, dtype=complex)
-    chi[6] = 1.0   # a-site has FB weight
+    chi = _unit(model, 6)   # a-site has FB weight
     exact = resolvent_vector(model, omega, chi)
-    approx = fb_green_approx(P, omega) @ chi
+    approx = P.P / omega @ chi
     # relative error on the large FB part is O(omega/gap)
     assert np.linalg.norm(exact - approx) / np.linalg.norm(exact) < 5e-3
 

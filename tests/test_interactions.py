@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from flatqed.boundstate import omega0_for_detuning, small_atom
-from flatqed.interactions import (InteractionMatrix, bessel_chain_amplitudes,
-                                  effective_hamiltonian, interaction_matrix,
+from flatqed.interactions import (bessel_chain_amplitudes, interaction_matrix,
                                   kappa_couplings, spin_dynamics)
 from flatqed.lattice import build_chain, build_double_comb, build_sawtooth
 
@@ -87,13 +87,6 @@ def test_interaction_matrix_validates_emitters():
         interaction_matrix(model, [])
 
 
-def test_effective_hamiltonian_hermitizes():
-    K = InteractionMatrix(emitters=(), K=np.array([[0.1, 1 + 1j], [0.9 - 0.9j, 0.1]]))
-    H = effective_hamiltonian(K)
-    assert np.max(np.abs(H - H.conj().T)) < 1e-15
-    assert H[0, 1] == pytest.approx(0.95 + 0.95j)
-
-
 def test_spin_dynamics_initial_condition_and_norm():
     H = np.array([[0.0, 0.3], [0.3, 0.1]])
     tr = spin_dynamics(H, 0, np.array([0.0, 1.0, 2.0]))
@@ -121,6 +114,15 @@ def test_bessel_oracle_nn_chain():
     for i, t in enumerate(t_grid):
         exact = bessel_chain_amplitudes(dist, t, kappa1)
         assert np.max(np.abs(tr.amplitudes[i] - exact)) < 1e-6
+
+
+def test_bessel_chain_amplitudes_match_scipy():
+    """The FFT form of J_n(x) equals scipy's jv to 1e-14 for |n| <= 32 and
+    |x| <= 40, the range of every caller."""
+    n = np.arange(-32, 33)
+    for x in np.linspace(-40.0, 40.0, 161):
+        exact = (1j ** n) * jv(n, x)
+        assert np.max(np.abs(bessel_chain_amplitudes(n, x, -0.5) - exact)) < 1e-14
 
 
 def test_rk4_oracle_with_nnn_coupling():

@@ -195,14 +195,38 @@ def test_integer_sublattice_outside_range_is_rejected(sub):
         projector_cls_expansion(bad, model)
 
 
-@pytest.mark.parametrize("J", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("J", [0.0, -1.0, math.nan, math.inf])
 def test_nonpositive_or_nan_J_is_rejected(J):
     """J sets every scale (POLE_GUARD * J among them), so a model built by
-    hand must have J > 0 like every builder's."""
+    hand must have a finite J > 0 like every builder's."""
     with pytest.raises(ConfigError, match="J must be positive"):
         LatticeModel("chain", 1, (5,), ("a",), (0.0,), ((0, 0, (1,), 1.0),), J)
     with pytest.raises(ConfigError, match="J must be positive"):
         model_from_spec({"model": "stub", "N": 8, "J": J})
+
+
+@pytest.mark.parametrize("onsite,amp", [(math.nan, 1.0), (0.0, math.inf),
+                                        (0.0, complex(1.0, math.nan))])
+def test_nonfinite_onsite_or_hopping_is_rejected(onsite, amp):
+    with pytest.raises(ConfigError, match="must be finite"):
+        LatticeModel("chain", 1, (5,), ("a",), (onsite,), ((0, 0, (1,), amp),),
+                     1.0)
+
+
+@pytest.mark.parametrize("model,params", [
+    ("stub", {"Delta": math.nan}), ("stub", {"Delta": math.inf}),
+    ("doublecomb", {"t": math.nan}), ("doublecomb", {"omega_c": math.nan})])
+def test_nonfinite_builder_params_are_rejected_by_the_model(model, params):
+    """No builder checks finiteness; the model's own check catches a
+    non-finite parameter wherever it lands (hopping or on-site energy)."""
+    with pytest.raises(ConfigError, match="must be finite"):
+        model_from_spec({"model": model, "N": 8, "params": params})
+
+
+@pytest.mark.parametrize("strength", [math.nan, math.inf, -0.1])
+def test_disorder_strength_must_be_finite_and_nonnegative(strength):
+    with pytest.raises(ConfigError, match="strength"):
+        DisorderSpec("diagonal", strength, seed=0)
 
 
 def test_cell_index_lexicographic_2d():

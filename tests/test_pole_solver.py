@@ -130,8 +130,10 @@ def test_brent_returns_an_endpoint_root():
 
 
 def test_import_flatqed_loads_no_scipy():
-    """``import flatqed`` and the CLI load no scipy module at all."""
+    """``import flatqed``, the CLI and the Bessel closed form load no scipy
+    module at all."""
     code = ("import sys, flatqed, flatqed.cli; "
+            "flatqed.interactions.bessel_chain_amplitudes([0, 1], 1.0, 0.5); "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -6,8 +6,13 @@ from flatqed.lattice import (build_chain, build_checkerboard,
                              build_double_comb, build_kagome1d,
                              build_sawtooth, build_stub)
 from flatqed.spectrum import (band_structure, default_k_grid,
-                              density_of_states, detect_flat_bands,
                               flat_band_width_real_space)
+
+FLATNESS_TOL = 1e-8   # a band narrower than this over the grid is flat
+
+
+def _flat_indices(bands: np.ndarray) -> list[int]:
+    return np.flatnonzero(np.ptp(bands, axis=1) < FLATNESS_TOL).tolist()
 
 
 def test_default_grid_commensurate():
@@ -18,45 +23,41 @@ def test_default_grid_commensurate():
 
 
 def test_sawtooth_flat_band_detected():
-    bs = band_structure(build_sawtooth(32))
-    flats = detect_flat_bands(bs)
-    assert len(flats) == 1
-    fb = flats[0]
-    assert fb.band_index == 0
-    assert abs(fb.energy + 2.0) < 1e-12
-    assert fb.bandwidth < 1e-12
-    assert abs(fb.gap_above - 2.0) < 1e-12   # dispersive band bottom at 0
+    bands = band_structure(build_sawtooth(32)).bands
+    assert _flat_indices(bands) == [0]
+    assert np.ptp(bands[0]) < 1e-12
+    assert abs(bands[0].mean() + 2.0) < 1e-12
+    # dispersive band bottom at 0
+    assert abs(bands[1].min() - bands[0].mean() - 2.0) < 1e-12
 
 
 def test_chain_has_no_flat_band():
-    bs = band_structure(build_chain(32))
-    assert detect_flat_bands(bs) == []
+    assert _flat_indices(band_structure(build_chain(32)).bands) == []
 
 
 def test_stub_flat_band_gap():
     Delta = 4.0
-    bs = band_structure(build_stub(32, Delta=Delta))
-    flats = detect_flat_bands(bs)
-    assert len(flats) == 1
-    fb = flats[0]
-    assert abs(fb.energy) < 1e-12
-    assert abs(fb.gap_below - np.sqrt(Delta)) < 1e-12
-    assert abs(fb.gap_above - np.sqrt(Delta)) < 1e-12
+    bands = band_structure(build_stub(32, Delta=Delta)).bands
+    assert _flat_indices(bands) == [1]
+    energy = bands[1].mean()
+    assert abs(energy) < 1e-12
+    assert abs(energy - bands[0].max() - np.sqrt(Delta)) < 1e-12
+    assert abs(bands[2].min() - energy - np.sqrt(Delta)) < 1e-12
 
 
 def test_stub_band_touching_at_zero_Delta():
-    bs = band_structure(build_stub(32, Delta=0.0))
-    flats = detect_flat_bands(bs)
-    assert len(flats) >= 1
-    fb = [f for f in flats if abs(f.energy) < 1e-12][0]
-    assert fb.gap_below < 1e-10 and fb.gap_above < 1e-10
+    bands = band_structure(build_stub(32, Delta=0.0)).bands
+    assert 1 in _flat_indices(bands)
+    energy = bands[1].mean()
+    assert abs(energy) < 1e-12
+    assert energy - bands[0].max() < 1e-10 and bands[2].min() - energy < 1e-10
 
 
 def test_kagome1d_flat_band_touches_above():
-    bs = band_structure(build_kagome1d(24))
-    flats = detect_flat_bands(bs)
-    fb = [f for f in flats if abs(f.energy - 2.0) < 1e-8][0]
-    assert fb.gap_below < 1e-10  # quadratic touching from below
+    bands = band_structure(build_kagome1d(24)).bands
+    assert _flat_indices(bands) == [4]
+    assert abs(bands[4].mean() - 2.0) < 1e-8
+    assert bands[4].mean() - bands[3].max() < 1e-10  # quadratic touching from below
 
 
 def test_kagome1d_fb_degeneracy_n_plus_one():
@@ -80,21 +81,6 @@ def test_doublecomb_fb_degeneracy_exact():
     N = 10
     w, _U = eigensystem(build_double_comb(N, omega_c=0.3))
     assert int(np.sum(np.abs(w - 0.3) < 1e-10)) == N
-
-
-def test_dos_normalization():
-    model = build_sawtooth(64)
-    bs = band_structure(model)
-    omega = np.linspace(-6, 8, 4001)
-    dos = density_of_states(bs, omega, eta=5e-2)
-    integral = np.trapezoid(dos, omega)
-    assert abs(integral - model.Q) < 0.05
-
-
-def test_dos_rejects_bad_eta():
-    bs = band_structure(build_chain(8))
-    with pytest.raises(ValueError):
-        density_of_states(bs, np.linspace(-3, 3, 10), eta=0.0)
 
 
 def test_flat_band_width_real_space():
