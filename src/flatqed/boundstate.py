@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from flatqed.errors import InsufficientData, NoRootInGap
+from flatqed.errors import ConfigError, InsufficientData, NoRootInGap
 from flatqed.flatband import cls_set
 from flatqed.greens import (POLE_GUARD, resolvent_vector, self_energy,
                             spectral_basis)
@@ -108,115 +108,72 @@ class BoundStateResult:
     norm_residual: float = 0.0
 
 
-def _gap_around(w: np.ndarray, omega0: float) -> tuple[float, float]:
-    """Edges of the spectral gap containing omega0 (+-inf outside spectrum)."""
-    below = w[w < omega0]
-    above = w[w > omega0]
-    lo = float(below.max()) if below.size else -math.inf
-    hi = float(above.min()) if above.size else math.inf
-    return lo, hi
+def _safe_newton(f: Callable[[float], tuple[float, float]], a: float,
+                 b: float, x: float, xtol: float, rtol: float,
+                 maxiter: int) -> float:
+    """Root of an increasing F with F(a) <= 0 <= F(b), where f = (F, F').
 
-
-def _brent(f: Callable[[float], float], a: float, b: float, xtol: float,
-           rtol: float, maxiter: int) -> float:
-    """Root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line port of ``brentq.c`` as shipped with scipy: the same sign
-    tests, interpolation and extrapolation steps, stopping rule
-    |x_blk - x_cur|/2 < (xtol + rtol |x_cur|)/2 and order of operations, so
-    it returns bit for bit the root of ``scipy.optimize.brentq``.  A bracket
-    without a sign change, an f that returns NaN, or ``maxiter`` iterations
-    without convergence raise :class:`NoRootInGap`."""
-    def fx(x: float) -> float:
-        y = float(f(x))
+    Newton steps from x clipped into [a, b], each shrinking the bracket; a
+    step that would leave it, or would not be shorter than half the step
+    before last, bisects it ("rtsafe"; Press et al., *Numerical Recipes*,
+    sec. 9.4).  Steps are at least half the tolerance xtol + rtol |x|, so
+    convergence is confirmed from the far side of the root: the last Newton
+    point is returned once the bracket is shorter than the tolerance.  No
+    sign change, a NaN or ``maxiter`` evaluations raise NoRootInGap."""
+    if not f(a)[0] <= 0 <= f(b)[0]:
+        raise NoRootInGap(f"no sign change (or a NaN) on ({a}, {b})")
+    x = min(max(x, a), b)
+    step = step_old = b - a
+    for _ in range(maxiter):
+        y, dy = f(x)
         if math.isnan(y):
             raise NoRootInGap(f"pole equation is NaN at omega={x!r}")
-        return y
-
-    xpre, xcur = a, b
-    fpre, fcur = fx(xpre), fx(xcur)
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise NoRootInGap(f"no sign change on the bracket ({a}, {b})")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
+        a, b = (x, b) if y < 0 else (a, x)
+        tol = xtol + rtol * abs(x)
+        if b - a < tol:
+            return min(max(x - y / dy, a), b)
+        step_old, step = step, -y / dy
+        if abs(step) < tol / 2:
+            step = math.copysign(tol / 2, -y)
+        elif not a <= x + step <= b or abs(2 * step) > abs(step_old):
+            step = (a + b) / 2 - x
+        x += step
     raise NoRootInGap(f"pole solve did not converge in {maxiter} iterations")
 
 
 def solve_pole(model: LatticeModel, emitter: EmitterSpec) -> float:
     """Root of  F(omega) = omega - omega0 - gbar^2 <chi|G_B(omega)|chi>  by
-    Brent's method inside the gap containing omega0.
-
-    F is strictly increasing in a gap (F' = 1 + gbar^2 <chi|G^2|chi> > 1), so
-    the root is unique when it exists.  Raises :class:`NoRootInGap` if F does
-    not change sign between the inward-shifted gap edges."""
+    :func:`_safe_newton` in the gap containing omega0, whose edges are
+    shifted inward by 10 ``POLE_GUARD``.  F' = 1 + gbar^2 <chi|G^2|chi> >= 1,
+    so the root is unique.  With no level below omega0 the bracket starts at
+    a = omega0 - s, s = max(J, gbar): each |a - w_a| >= s and chi is
+    normalized, so gbar^2 |Sigma(a)| <= s and F(a) <= 0 (likewise
+    b = omega0 + s above the spectrum).  Raises :class:`NoRootInGap` if F
+    does not change sign on the bracket."""
+    omega0, guard = emitter.omega0, POLE_GUARD * model.J
     w = spectral_basis(model).w
-    guard = POLE_GUARD * model.J
-    lo, hi = _gap_around(w, emitter.omega0)
-    if math.isfinite(lo) and math.isfinite(hi) and hi - lo < 40 * guard:
+    below, above = w[w < omega0], w[w > omega0]
+    if below.size and above.size and above.min() - below.max() < 40 * guard:
         raise NoRootInGap("gap around omega0 narrower than the pole guard")
     g2 = emitter.gbar ** 2
     sigma = self_energy(model, emitter.chi(model.n_sites))
 
-    def F(omega: float) -> float:
-        return omega - emitter.omega0 - g2 * sigma(omega)
+    def F(omega: float) -> tuple[float, float]:
+        s, ds = sigma(omega)
+        return omega - omega0 - g2 * s, 1.0 - g2 * ds
 
-    span = max(model.J, g2)
-    if math.isfinite(lo):
-        a = lo + 10 * guard
-    else:  # extend downward until F < 0 (F -> -inf as omega -> -inf)
-        a = min(emitter.omega0, float(w.min())) - span
-        while F(a) > 0:
-            a -= span
-            span *= 2
-    if math.isfinite(hi):
-        b = hi - 10 * guard
-    else:
-        b = max(emitter.omega0, float(w.max())) + span
-        while F(b) < 0:
-            b += span
-            span *= 2
-    return _brent(F, a, b, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    s = max(model.J, emitter.gbar)
+    a = float(below.max()) + 10 * guard if below.size else omega0 - s
+    b = float(above.min()) - 10 * guard if above.size else omega0 + s
+    return _safe_newton(F, a, b, omega0, xtol=1e-15, rtol=8.9e-16,
+                        maxiter=200)
 
 
 def pole_residual(model: LatticeModel, emitter: EmitterSpec,
                   omega_bs: float) -> float:
     """|omega_BS - omega0 - gbar^2 <chi|G_B(omega_BS)|chi>|."""
-    sigma = self_energy(model, emitter.chi(model.n_sites))
-    return abs(omega_bs - emitter.omega0 - emitter.gbar ** 2 * sigma(omega_bs))
+    sigma, _ = self_energy(model, emitter.chi(model.n_sites))(omega_bs)
+    return abs(omega_bs - emitter.omega0 - emitter.gbar ** 2 * sigma)
 
 
 def bs_wavefunction(model: LatticeModel, emitter: EmitterSpec,
@@ -272,6 +229,8 @@ def bs_profile(result: BoundStateResult, model: LatticeModel,
                d_max: int | None = None) -> np.ndarray:
     """|psi| sampled on one sublattice along a coordinate axis, as a function
     of the cell distance d >= 0 from the emitter's cell."""
+    if axis not in range(model.dim):
+        raise ConfigError(f"axis {axis} outside range({model.dim})")
     index = list(_reference_cell(model, result.emitter))
     n_axis = model.shape[axis]
     if d_max is None:
@@ -293,9 +252,9 @@ def localization_length_fit(result: BoundStateResult, model: LatticeModel,
     axis; returns (lambda, r^2) with lambda = -1/slope.  The window skips
     d in {0, 1} (near-field CLS structure) and runs up to
     min(N_axis/4, first point at or below ``AMPLITUDE_FLOOR``)."""
+    prof = bs_profile(result, model, sub, axis=axis)
     n_axis = model.shape[axis]
     d_max = min(n_axis // 4, n_axis // 2 - 1)
-    prof = bs_profile(result, model, sub, axis=axis, d_max=d_max)
     ds, ys = [], []
     for d in range(2, d_max + 1):
         if prof[d] <= AMPLITUDE_FLOOR:

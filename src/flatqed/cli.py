@@ -198,6 +198,8 @@ def _cmd_xi(args: argparse.Namespace) -> None:
             alphas = (alphas[0], alphas[0])
         else:
             raise ConfigError("--alpha count must match --dim")
+    if args.max_dist < 0:
+        raise ConfigError("--max-dist must be >= 0")
     rows = []
     for d in range(args.max_dist + 1):
         dn = (d,) if args.dim == 1 else (d, 0)

@@ -217,6 +217,8 @@ def evolve(model: LatticeModel, emitters: Sequence[EmitterSpec],
             raise ValueError(f"initial state must have length {n_e + n}")
         c0 = c0 / np.linalg.norm(c0)
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.isfinite(t_grid).all():
+        raise ValueError("times must be finite")
     if model.disorder is None:
         t_max = float(np.max(np.abs(t_grid))) if t_grid.size else 0.0
         H, c0, to_sites = _reduced_problem(model, emitters, c0, explicit,

@@ -70,7 +70,7 @@ AXIS_QUADRATURE_NODES = 256  # Gauss-Legendre nodes on the 2D branch cut
 def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
     """Discrete Brillouin-zone sum (1/N) sum_k e^{i k . dn} / f(k).
 
-    Raises :class:`SingularF` if f vanishes anywhere on the grid."""
+    Raises :class:`SingularF` if f < 1e-14 anywhere on the grid."""
     alphas = _alphas(alpha)
     dn = np.atleast_1d(np.asarray(delta_n, dtype=int))
     if dn.shape != (len(alphas),):
@@ -78,8 +78,8 @@ def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
     k = 2.0 * np.pi * np.arange(n_k) / n_k
     if len(alphas) == 1:
         f = 1.0 + 2.0 * alphas[0] * np.cos(k)
-        if np.min(np.abs(f)) < 1e-14:
-            raise SingularF("f(k) vanishes on the grid")
+        if np.min(f) < 1e-14:
+            raise SingularF("f(k) is not positive on the grid")
         val = np.mean(np.cos(k * dn[0]) / f)
         return float(val)
     # 2D: cos(kx dx) @ (1/f) @ cos(ky dy), summed over blocks of kx rows of
@@ -91,8 +91,8 @@ def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
     acc = 0.0
     for i in range(0, n_k, rows):
         f = cx[i:i + rows, None] + cy
-        if np.min(np.abs(f)) < 1e-14:
-            raise SingularF("f(k) vanishes on the grid")
+        if np.min(f) < 1e-14:
+            raise SingularF("f(k) is not positive on the grid")
         acc += float(phase_x[i:i + rows] @ (1.0 / f) @ phase_y)
     return acc / n_k ** 2
 

@@ -170,8 +170,9 @@ def resolvent_vector(model: LatticeModel, omega: float,
 
 
 def self_energy(model: LatticeModel,
-                chi: np.ndarray) -> Callable[[float], float]:
-    """omega -> <chi| G_B(omega) |chi> = sum_a |c_a|^2 / (omega - w_a).
+                chi: np.ndarray) -> Callable[[float], tuple[float, float]]:
+    """omega -> (Sigma, Sigma'): Sigma = <chi| G_B(omega) |chi> =
+    sum_a |c_a|^2 / (omega - w_a), Sigma' = -sum_a |c_a|^2 / (omega - w_a)^2.
 
     The spectral weights |c_a|^2 are computed once; each evaluation of the
     returned function is an O(N) sum and still enforces the pole guard."""
@@ -179,9 +180,11 @@ def self_energy(model: LatticeModel,
     w = basis.w
     weights = np.abs(basis.amplitudes(chi)) ** 2
 
-    def sigma(omega: float) -> float:
+    def sigma(omega: float) -> tuple[float, float]:
         _check_pole(model, omega, w)
-        return float(np.sum(weights / (omega - w)))
+        denom = omega - w
+        terms = weights / denom
+        return float(np.sum(terms)), -float(np.sum(terms / denom))
 
     return sigma
 

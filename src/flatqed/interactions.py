@@ -97,6 +97,8 @@ def spin_dynamics(H_eff: np.ndarray, initial: int | np.ndarray,
         c0 = np.asarray(initial, dtype=complex)
         c0 = c0 / np.linalg.norm(c0)
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.isfinite(t_grid).all():
+        raise ValueError("times must be finite")
     amps, norm_residual = propagate(H_eff, c0, t_grid)
     return SpinTrace(t_grid=t_grid, amplitudes=amps, norm_residual=norm_residual)
 

@@ -115,10 +115,12 @@ def test_resolvent_and_self_energy_match_solve(model, omega, kind, seed):
     with bloch_path():
         assert spectral_basis(model) is bloch_basis(model)
         g = resolvent_vector(model, omega, chi)
-        sigma = self_energy(model, chi)(omega)
+        sigma, dsigma = self_energy(model, chi)(omega)
     assert g.dtype == complex
     assert np.max(np.abs(g - exact)) < 1e-10 * scale
     assert sigma == pytest.approx(np.vdot(chi, exact).real, abs=1e-10 * scale)
+    assert dsigma == pytest.approx(-np.vdot(exact, exact).real,
+                                   abs=1e-10 * scale ** 2)
 
 
 @given(model=bloch_model, seed=st.integers(0, 2**32 - 1),

@@ -157,12 +157,48 @@ def test_numerical_failure_exit_3(capsys):
     ["boundstate", "--model", "stub", "--N", "10", "--delta", "0.01",
      "--g", "nan", "--site", "a:5"],
     ["xi", "--alpha", "nan"],
+    ["dynamics", "--model", "sawtooth", "--N", "20", "--site", "a:10",
+     "--tmax", "nan", "--nt", "5"],
+    ["dynamics", "--model", "sawtooth", "--N", "20", "--site", "a:10",
+     "--tmax", "inf", "--nt", "5"],
 ], ids=["strength-nan", "strength-inf", "Delta-nan", "Delta-inf", "t-nan",
-        "omega_c-nan", "delta-nan", "g-nan", "alpha-nan"])
+        "omega_c-nan", "delta-nan", "g-nan", "alpha-nan", "tmax-nan",
+        "tmax-inf"])
 def test_nonfinite_parameter_exit_2(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == "" and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["xi", "--alpha", "0.2", "--max-dist", "-1"],
+    ["loclen", "--model", "sawtooth", "--N", "20", "--delta", "0.01",
+     "--site", "a:3", "--axis", "1"],
+], ids=["max-dist-negative", "axis-beyond-dim"])
+def test_out_of_range_argument_exit_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and "ConfigError" in err
+
+
+@pytest.mark.parametrize("flags,code", [
+    (["--alpha", "0.6"], 3),
+    (["--alpha", "-0.7"], 3),
+    (["--dim", "2", "--alpha", "0.3"], 3),
+    (["--dim", "2", "--alpha", "-0.26"], 3),
+    (["--dim", "2", "--alpha", "-0.24"], 0),
+], ids=["1d-0.6", "1d-minus-0.7", "2d-0.3", "2d-minus-0.26", "2d-minus-0.24"])
+def test_xi_needs_a_positive_gram_symbol(flags, code, capsys):
+    """f(k) = 1 + 2 alpha sum_i cos k_i is positive only for |alpha| < 1/2
+    in 1D and |alpha| < 1/4 in 2D; elsewhere xi is a numerical failure."""
+    rc, out, err = run(["xi", "--max-dist", "3"] + flags, capsys)
+    assert rc == code
+    if code == 3:
+        assert out == "" and "SingularF" in err
+    else:
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 4
+        assert all(math.isfinite(float(r["xi_numeric"])) for r in rows)
 
 
 def test_missing_detuning_exit_2(capsys):

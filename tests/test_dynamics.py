@@ -116,6 +116,14 @@ def test_evolve_validates_initial():
         evolve(model, [em], np.zeros(3), np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evolve_rejects_nonfinite_times(bad):
+    model = build_chain(4)
+    em = small_atom(model, -2.1, 1e-2, 0, "a")
+    with pytest.raises(ValueError, match="must be finite"):
+        evolve(model, [em], 0, np.array([0.0, bad]))
+
+
 def test_fit_requires_minimum():
     model = build_chain(1)
     em = small_atom(model, 0.0, 1e-3, 0, "a")

@@ -153,9 +153,10 @@ def test_resolvent_and_self_energy_match_solve(model, omega, seed, real):
     g = resolvent_vector(model, omega, chi)
     assert g.dtype == complex
     assert np.max(np.abs(g - exact)) < 1e-10 * scale
-    sigma = self_energy(model, chi)
-    assert sigma(omega) == pytest.approx(np.vdot(chi, exact).real,
-                                         abs=1e-10 * scale)
+    sigma, dsigma = self_energy(model, chi)(omega)
+    assert sigma == pytest.approx(np.vdot(chi, exact).real, abs=1e-10 * scale)
+    assert dsigma == pytest.approx(-np.vdot(exact, exact).real,
+                                   abs=1e-10 * scale ** 2)
 
 
 @given(model=seam_model, seed=st.integers(0, 2**32 - 1),

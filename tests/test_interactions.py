@@ -100,6 +100,12 @@ def test_spin_dynamics_rejects_nonhermitian():
         spin_dynamics(np.array([[0.0, 1.0], [0.0, 0.0]]), 0, np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spin_dynamics_rejects_nonfinite_times(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        spin_dynamics(np.eye(2), 0, np.array([0.0, bad]))
+
+
 def test_bessel_oracle_nn_chain():
     """Translation-invariant NN chain: c_n(t) = i^n J_n(-2 kappa1 t)."""
     N, kappa1 = 64, 0.7
