@@ -28,8 +28,9 @@ from typing import Callable
 import numpy as np
 
 from flatqed.errors import NoFlatBand, PoleProximity
-from flatqed.lattice import LatticeModel, real_space_hamiltonian
-from flatqed.spectrum import band_structure
+from flatqed.lattice import (LatticeModel, bloch_hamiltonian,
+                             real_space_hamiltonian)
+from flatqed.spectrum import default_k_grid
 
 POLE_GUARD = 1e-12     # in units of J
 FB_TOL = 1e-8          # flat-band selection window, in units of J
@@ -110,18 +111,19 @@ class SpectralBasis:
 @lru_cache(maxsize=4)
 def bloch_basis(model: LatticeModel) -> SpectralBasis:
     """Eigenbasis of a clean model from its Bloch blocks on the commensurate
-    k-grid (one batched ``eigh``, cached per model like :func:`eigensystem`;
-    an entry holds O(Q N) numbers, not N^2).
+    k-grid (one batched ``eigh`` over every k, cached per model like
+    :func:`eigensystem`; an entry holds O(Q N) numbers, not N^2).  This is
+    the one place Bloch eigenvectors are computed; ``spectrum.band_structure``
+    takes eigenvalues only.
 
     With the phase convention of ``bloch_hamiltonian``, basis state (k, m)
     is e^{-ik.n} u_k[:, m] / sqrt(N_cells) on cell n; its index is
     k * Q + m, k running over ``default_k_grid``.  Amplitudes are an inverse
     FFT over the cell axes followed by u_k^H; synthesis is u_k followed by an
     FFT (both unitary, ``norm="ortho"``)."""
-    bs = band_structure(model)
-    u = bs.eigenvectors                                   # (n_k, Q, Q)
-    u_conj = u.conj()
-    w = np.ascontiguousarray(bs.bands.T).reshape(-1)
+    w, u = np.linalg.eigh(bloch_hamiltonian(model, default_k_grid(model)))
+    u_conj = u.conj()                                     # u: (n_k, Q, Q)
+    w = w.reshape(-1)
     w.setflags(write=False)
     cells, Q = model.shape, model.Q
     axes = tuple(range(model.dim))

@@ -6,21 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flatqed.lattice import LatticeModel, bloch_hamiltonian
+from flatqed.lattice import LatticeModel, _is_real, bloch_hamiltonian
 
 
 @dataclass(frozen=True)
 class BandStructure:
-    """Bloch bands on a discrete k-grid.
+    """Bloch bands on the commensurate k-grid.
 
     ``k_grid`` has shape (n_k, D); ``bands`` has shape (Q, n_k) with energies
-    sorted ascending at every k; ``eigenvectors`` has shape (n_k, Q, Q) with
-    column ``[:, m]`` the unit-norm eigenvector of band m.
+    sorted ascending at every k.  Eigenvectors are not kept: the Bloch basis
+    (``greens.bloch_basis``) computes its own.
     """
 
     k_grid: np.ndarray
     bands: np.ndarray
-    eigenvectors: np.ndarray
 
     @property
     def n_bands(self) -> int:
@@ -38,17 +37,28 @@ def default_k_grid(model: LatticeModel) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def band_structure(model: LatticeModel, k_grid: np.ndarray | None = None) -> BandStructure:
-    """Diagonalize the Bloch Hamiltonian on every point of the grid in one
-    batched ``eigh``."""
-    if k_grid is None:
-        k_grid = default_k_grid(model)
-    k_grid = np.atleast_2d(np.asarray(k_grid, dtype=float))
-    if k_grid.size == 0:
-        raise ValueError("empty k-grid")
-    w, vecs = np.linalg.eigh(bloch_hamiltonian(model, k_grid))
-    return BandStructure(k_grid=k_grid, bands=np.ascontiguousarray(w.T),
-                         eigenvectors=vecs)
+def band_structure(model: LatticeModel) -> BandStructure:
+    """Bloch eigenvalues on ``default_k_grid`` from one batched ``eigvalsh``.
+
+    With real hoppings H(-k) = H(k)*, so E_m(-k) = E_m(k) (time reversal):
+    the grid is closed under k -> -k (cell index m_d -> -m_d mod N_d), and
+    only one k of each {k, -k} pair is diagonalized, its bands copied to the
+    partner.  A model with a complex hopping has no such symmetry, and every
+    k is diagonalized.
+    """
+    k_grid = default_k_grid(model)
+    n_k = len(k_grid)
+    if _is_real(model):
+        m = np.indices(model.shape).reshape(model.dim, -1)
+        partner = np.ravel_multi_index(tuple(-m), model.shape, mode="wrap")
+    else:
+        partner = np.arange(n_k)
+    rep = np.flatnonzero(np.arange(n_k) <= partner)
+    w = np.linalg.eigvalsh(bloch_hamiltonian(model, k_grid[rep])).T
+    bands = np.empty((model.Q, n_k))
+    bands[:, rep] = w
+    bands[:, partner[rep]] = w
+    return BandStructure(k_grid=k_grid, bands=bands)
 
 
 def flat_band_width_real_space(eigenvalues: np.ndarray, n_cells: int,

@@ -11,6 +11,7 @@ cannot reach (sawtooth N=1e5, checkerboard 200x200).
 
 import cmath
 import contextlib
+import inspect
 import math
 
 import numpy as np
@@ -34,6 +35,7 @@ from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
                              build_checkerboard, build_double_comb,
                              build_kagome1d, build_sawtooth, build_stub,
                              real_space_hamiltonian, site_index)
+from flatqed.spectrum import default_k_grid
 
 FLUX_SAWTOOTH = LatticeModel(
     "flux-sawtooth", 1, (6,), ("a", "b"), (0.0, 0.3),
@@ -101,6 +103,16 @@ def test_bloch_basis_is_the_eigenbasis(model):
     assert np.max(np.abs(H @ V - V * basis.w)) < 1e-12
     assert np.max(np.abs(basis.amplitudes(eye) - V.conj().T)) < 1e-12
     assert basis is bloch_basis(model)   # cached per model
+
+
+@pytest.mark.parametrize("model", BLOCH_MODELS, ids=lambda m: f"{m.name}{m.shape}")
+def test_bloch_basis_is_one_full_grid_eigh(model):
+    """w and the Bloch eigenvectors u are those of one batched eigh over
+    every k of the grid, bit for bit (no k is paired with -k here)."""
+    w, u = np.linalg.eigh(bloch_hamiltonian(model, default_k_grid(model)))
+    basis = bloch_basis(model)
+    assert np.array_equal(basis.w, w.reshape(-1))
+    assert np.array_equal(inspect.getclosurevars(basis.synthesize).nonlocals["u"], u)
 
 
 @given(model=bloch_model, omega=st.floats(-5.0, 5.0),

@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
+from flatqed import greens
 from flatqed.cli import _model, build_parser, main
-from flatqed.lattice import (build_chain, build_checkerboard,
-                             build_double_comb, build_kagome1d,
-                             build_sawtooth, build_stub)
+from flatqed.lattice import (DisorderSpec, apply_disorder, build_chain,
+                             build_checkerboard, build_double_comb,
+                             build_kagome1d, build_sawtooth, build_stub)
+from flatqed.spectrum import flat_band_width_real_space
 
 
 def run(argv, capsys):
@@ -62,6 +66,28 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert run(args + ["--out", str(a)], capsys)[0] == 0
     assert run(args + ["--out", str(b)], capsys)[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "off-diagonal"])
+def test_disorder_rows_need_no_eigenvectors(kind, capsys):
+    """Counts and widths equal those from the dense eigensystem, and the
+    sweep leaves nothing in its cache."""
+    greens.eigensystem.cache_clear()
+    code, out, _e = run(["disorder", "--model", "stub", "--N", "12",
+                         "--kind", kind, "--strength", "0.5", "--seeds", "3"],
+                        capsys)
+    assert code == 0
+    assert greens.eigensystem.cache_info().currsize == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 3
+    clean = build_stub(12)
+    omega_fb = clean.cls.omega_fb
+    for seed, row in enumerate(rows):
+        dis = apply_disorder(clean, DisorderSpec(kind, 0.5, seed))
+        w = greens.eigensystem(dis)[0]
+        assert int(row["n_flat_modes"]) == int(np.sum(np.abs(w - omega_fb) < 1e-10))
+        width = flat_band_width_real_space(w, clean.n_cells, center=omega_fb)
+        assert abs(float(row["fb_width"]) - width) < 1e-12
 
 
 def test_interactions_output(capsys):
@@ -165,9 +191,12 @@ def test_numerical_failure_exit_3(capsys):
         "omega_c-nan", "delta-nan", "g-nan", "alpha-nan", "tmax-nan",
         "tmax-inf"])
 def test_nonfinite_parameter_exit_2(argv, capsys):
-    code, out, err = run(argv, capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(argv, capsys)
     assert code == 2
     assert out == "" and "must be finite" in err
+    assert caught == []
 
 
 @pytest.mark.parametrize("argv", [
