@@ -1,28 +1,33 @@
 #!/usr/bin/env python3
 """Photon-mediated spin chain of stub-lattice giants: Bessel-function check.
 
-Giants coupled to neighbouring CLSs of the stub lattice realize a spin chain
-with nearest-neighbour coupling kappa_1 and a weaker next-nearest coupling
-kappa_2 = kappa_1/(4 + Delta).  With kappa_2 dropped, a single flipped spin
-spreads as c_n(t) = i^n J_n(-2 kappa_1 t)."""
+One giant per cell of a stub ring, each coupled to the single CLS of its
+cell, interacts through the flat band alone:
+K_nn' = g^2/delta <chi_n|chi_n'> (``giant_interaction``).  Neighbouring CLSs
+share one a-site and CLSs further apart share none, so the chain has exactly
+nearest-neighbour coupling kappa_1 = g^2/(delta (2 + Delta)) and kappa_2 = 0.
+A single flipped spin then spreads as c_n(t) = i^n J_n(-2 kappa_1 t)."""
 
 import numpy as np
 
-from flatqed.interactions import (bessel_chain_amplitudes, kappa_couplings,
-                                  spin_dynamics)
+from flatqed.boundstate import omega0_for_detuning
+from flatqed.giant import cls_emitter, giant_interaction
+from flatqed.interactions import bessel_chain_amplitudes, spin_dynamics
+from flatqed.lattice import build_stub
 
 
 def main() -> None:
-    g, delta_fb, Delta = 1e-3, 0.05, 4.0
-    kappa1, kappa2 = kappa_couplings(g, delta_fb, Delta)
-    print(f"kappa_1 = {kappa1:.3e}, kappa_2 = kappa_1/{4 + Delta:.0f} "
-          f"= {kappa2:.3e}")
+    g, delta_fb, Delta, N = 1e-3, 0.05, 4.0, 64
+    stub = build_stub(N, Delta=Delta)
+    omega0 = omega0_for_detuning(stub, delta_fb)
+    K = giant_interaction(
+        stub, [cls_emitter(stub, omega0, g, n) for n in range(N)]).K
+    kappa1 = float(K[0, 1].real)
+    print(f"kappa_1 = {kappa1:.3e} (g^2/(delta (2 + Delta)) = "
+          f"{g ** 2 / (delta_fb * (2 + Delta)):.3e}), "
+          f"max |K_0n| beyond n = 1: {np.max(np.abs(K[0, 2:N - 1])):.1e}")
 
-    N = 64
-    H = np.zeros((N, N))
-    for n in range(N):
-        H[n, (n + 1) % N] += kappa1
-        H[(n + 1) % N, n] += kappa1
+    H = K - K[0, 0] * np.eye(N)
     t_grid = np.linspace(0.0, 5.0 / kappa1, 6)
     trace = spin_dynamics(H, 0, t_grid)
     n_idx = np.arange(N)

@@ -256,6 +256,8 @@ def _cmd_dynamics(args: argparse.Namespace) -> None:
 
 
 def _cmd_disorder(args: argparse.Namespace) -> None:
+    if args.seeds < 0:
+        raise ConfigError("--seeds must be >= 0")
     model = _model(args)
     cls = cls_set(model)
     rows = []

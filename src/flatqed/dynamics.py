@@ -116,6 +116,31 @@ def propagate(H: np.ndarray, c0: np.ndarray, t_grid: np.ndarray,
     return out, abs(weight - 1.0) + float(np.linalg.norm(gram)) * weight
 
 
+def _initial_state(initial: int | np.ndarray, n_index: int, dim: int,
+                   t_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The unit initial vector of length ``dim`` and the time grid as a
+    float array.  ``initial`` is an index below ``n_index`` or a vector of
+    length ``dim``, with a finite non-zero norm; every time must be
+    finite."""
+    if isinstance(initial, (int, np.integer)):
+        if not 0 <= initial < n_index:
+            raise ValueError(f"initial index {initial} outside range({n_index})")
+        c0 = np.zeros(dim, dtype=complex)
+        c0[int(initial)] = 1.0
+    else:
+        c0 = np.asarray(initial, dtype=complex)
+        if c0.shape != (dim,):
+            raise ValueError(f"initial state must have length {dim}")
+        norm = np.linalg.norm(c0)
+        if not 0 < norm < math.inf:     # a nan norm fails both comparisons
+            raise ValueError("initial state must be finite and non-zero")
+        c0 = c0 / norm
+    t_grid = np.asarray(t_grid, dtype=float)
+    if not np.isfinite(t_grid).all():
+        raise ValueError("times must be finite")
+    return c0, t_grid
+
+
 def _reduced_problem(model: LatticeModel, emitters: tuple[EmitterSpec, ...],
                      c0: np.ndarray, explicit: bool, t_max: float
                      ) -> tuple[np.ndarray, np.ndarray,
@@ -206,19 +231,7 @@ def evolve(model: LatticeModel, emitters: Sequence[EmitterSpec],
     n_e = len(emitters)
     n = model.n_sites
     explicit = not isinstance(initial, (int, np.integer))
-    if not explicit:
-        if not 0 <= int(initial) < n_e:
-            raise ValueError("initial emitter index out of range")
-        c0 = np.zeros(n_e + n, dtype=complex)
-        c0[int(initial)] = 1.0
-    else:
-        c0 = np.asarray(initial, dtype=complex)
-        if c0.shape != (n_e + n,):
-            raise ValueError(f"initial state must have length {n_e + n}")
-        c0 = c0 / np.linalg.norm(c0)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if not np.isfinite(t_grid).all():
-        raise ValueError("times must be finite")
+    c0, t_grid = _initial_state(initial, n_e, n_e + n, t_grid)
     if model.disorder is None:
         t_max = float(np.max(np.abs(t_grid))) if t_grid.size else 0.0
         H, c0, to_sites = _reduced_problem(model, emitters, c0, explicit,

@@ -15,21 +15,19 @@ two localization lengths returned by :func:`lambda_2d`.
 On a finite lattice f(k) = |phi(k)|^2, where phi(k), the Fourier symbol of
 the stencil, is the FFT of the CLS placed at cell 0 by
 :func:`reconstruct_from_weights`, the one placement of a stencil over a field
-of cell weights (:func:`cls_vector`, site by site, is its reference).  The CLS
-expansions are evaluated in that Bloch form on the commensurate k-grid,
-without sites x cells or cells x cells matrices.
+of cell weights.  The CLS expansions are evaluated in that Bloch form on
+the commensurate k-grid, without sites x cells or cells x cells matrices.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from flatqed.errors import SingularF, UnsupportedLattice
-from flatqed.lattice import ClsSet, LatticeModel, site_index
+from flatqed.lattice import ClsSet, LatticeModel
 
 
 def cls_set(model: LatticeModel) -> ClsSet:
@@ -38,20 +36,6 @@ def cls_set(model: LatticeModel) -> ClsSet:
     if model.cls is None:
         raise UnsupportedLattice(f"no CLS set for lattice {model.name!r}")
     return model.cls
-
-
-def cls_vector(model: LatticeModel, cell: Sequence[int] | int,
-               cls: ClsSet | None = None) -> np.ndarray:
-    """Site-space vector of the CLS centered at ``cell``."""
-    if cls is None:
-        cls = cls_set(model)
-    if isinstance(cell, (int, np.integer)):
-        cell = (int(cell),)
-    phi = np.zeros(model.n_sites)
-    for sub, off, coeff in cls.stencil:
-        shifted = tuple(c + o for c, o in zip(cell, off))
-        phi[site_index(model, shifted, sub)] += coeff
-    return phi
 
 
 def _alphas(alpha) -> tuple[float, ...]:
@@ -71,6 +55,8 @@ def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
     """Discrete Brillouin-zone sum (1/N) sum_k e^{i k . dn} / f(k).
 
     Raises :class:`SingularF` if f < 1e-14 anywhere on the grid."""
+    if n_k < 1:
+        raise ValueError("n_k must be >= 1")
     alphas = _alphas(alpha)
     dn = np.atleast_1d(np.asarray(delta_n, dtype=int))
     if dn.shape != (len(alphas),):

@@ -15,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from flatqed.boundstate import BoundStateResult, EmitterSpec, bs_wavefunction
-from flatqed.flatband import cls_set, cls_vector, reconstruct_from_weights
+from flatqed.flatband import cls_set, reconstruct_from_weights
 from flatqed.greens import fb_weights
-from flatqed.interactions import InteractionMatrix
+from flatqed.interactions import InteractionMatrix, _common_emitters
 from flatqed.lattice import LatticeModel
 
 ENVELOPE_CUTOFF = 1e-12
@@ -39,7 +39,9 @@ def _emitter_from_vector(omega0: float, g: float,
 def cls_emitter(model: LatticeModel, omega0: float, g: float,
                 cell: Sequence[int] | int) -> EmitterSpec:
     """Giant atom whose site state is exactly the CLS of one cell."""
-    return _emitter_from_vector(omega0, g, cls_vector(model, cell))
+    w = np.eye(1, model.n_cells, model.cell_index(cell))
+    return _emitter_from_vector(
+        omega0, g, reconstruct_from_weights(cls_set(model), model, w))
 
 
 def cls_superposition_emitter(model: LatticeModel, omega0: float, g: float,
@@ -121,21 +123,12 @@ def giant_interaction(model: LatticeModel,
 
     Exact when every chi lies in the FB eigenspace (the resolvent acts as the
     scalar 1/(omega0 - omega_FB) there); all emitters are checked in one
-    amplitude pass and a warning raised otherwise."""
-    emitters = tuple(emitters)
-    if not emitters:
-        raise ValueError("need at least one emitter")
+    amplitude pass and a warning raised otherwise.  The emitters must share
+    omega0 and |g|, as for :func:`~flatqed.interactions.interaction_matrix`."""
+    emitters, omega0, gbar = _common_emitters(model, emitters)
     omega_fb = cls_set(model).omega_fb
-    omega0 = emitters[0].omega0
-    gbar = emitters[0].gbar
-    for em in emitters:
-        if abs(em.omega0 - omega0) > 1e-12 * model.J:
-            raise ValueError("giant_interaction requires a common omega0")
     chis = np.column_stack([em.chi(model.n_sites) for em in emitters])
     _warn_if_outside_flat_band(model, chis)
     gram = chis.conj().T @ chis
     K = gbar ** 2 / (omega0 - omega_fb) * gram
-    return InteractionMatrix(
-        emitters=emitters, K=K,
-        convention="flat-band-only: K = gbar^2/(omega0-omega_FB) <chi_n|chi_n'>")
-
+    return InteractionMatrix(emitters=emitters, K=K)

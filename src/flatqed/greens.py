@@ -42,7 +42,6 @@ class FlatBandProjector:
     """Hermitian idempotent projector onto the FB eigenspace."""
 
     P: np.ndarray
-    omega_fb: float
 
     @property
     def degeneracy(self) -> int:
@@ -227,7 +226,7 @@ def fb_projector(model: LatticeModel, omega_fb: float) -> FlatBandProjector:
     w, U = eigensystem(model)
     sel = np.flatnonzero(_fb_mask(model, w, omega_fb))
     V = U[:, sel[0]:sel[-1] + 1]
-    return FlatBandProjector(P=V @ V.conj().T, omega_fb=float(omega_fb))
+    return FlatBandProjector(P=V @ V.conj().T)
 
 
 def fb_weights(model: LatticeModel, omega_fb: float,

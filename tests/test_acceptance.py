@@ -22,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+from cls_reference import cls_vector
 from flatqed.boundstate import (bs_profile, bs_wavefunction,
                                 localization_length_fit,
                                 omega0_for_detuning, pole_residual,
@@ -241,8 +242,6 @@ def test_09_interactions():
 def test_10_giant_atoms():
     """CLS-coupled giant BS fidelity > 1 - 1e-8; NN/on-site coupling ratios
     1/4 (sawtooth) and 1/(2+Delta) (stub, Delta=2) to 1e-6."""
-    from flatqed.flatband import cls_vector
-
     saw = build_sawtooth(40)
     em = cls_emitter(saw, -2.0 + 0.05, 1e-3, 20)
     res = giant_bound_state(saw, em)

@@ -210,6 +210,28 @@ def test_out_of_range_argument_exit_2(argv, capsys):
     assert out == "" and "ConfigError" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["xi", "--alpha", "0.2", "--nk", "0"], "ValueError: n_k must be >= 1"),
+    (["xi", "--dim", "2", "--alpha", "0.2", "--nk", "-3"],
+     "ValueError: n_k must be >= 1"),
+    (["disorder", "--model", "stub", "--N", "8", "--kind", "diagonal",
+      "--strength", "0.1", "--seeds", "-2"],
+     "ConfigError: --seeds must be >= 0"),
+], ids=["xi-nk-0", "xi-2d-nk-negative", "disorder-seeds-negative"])
+def test_bad_count_exit_2(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and message in err
+
+
+def test_disorder_without_seeds_is_an_empty_table(capsys):
+    code, out, _e = run(["disorder", "--model", "stub", "--N", "8", "--kind",
+                         "diagonal", "--strength", "0.1", "--seeds", "0"],
+                        capsys)
+    assert code == 0
+    assert out.splitlines() == ["seed,n_flat_modes,fb_width"]
+
+
 @pytest.mark.parametrize("flags,code", [
     (["--alpha", "0.6"], 3),
     (["--alpha", "-0.7"], 3),

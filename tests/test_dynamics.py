@@ -114,6 +114,10 @@ def test_evolve_validates_initial():
         evolve(model, [em], 3, np.array([0.0]))
     with pytest.raises(ValueError):
         evolve(model, [em], np.zeros(3), np.array([0.0]))
+    for bad, match in ((np.zeros(5), "non-zero"),
+                       (np.full(5, math.inf), "finite")):
+        with pytest.raises(ValueError, match=match):
+            evolve(model, [em], bad, np.array([0.0]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from flatqed import flatband
 from flatqed.errors import SingularF, UnsupportedLattice
-from flatqed.flatband import (ClsSet, bs_cls_weights, cls_set, cls_vector,
-                              lambda_1d, lambda_2d, projector_cls_expansion,
+from cls_reference import cls_vector
+from flatqed.flatband import (ClsSet, bs_cls_weights, cls_set, lambda_1d,
+                              lambda_2d, projector_cls_expansion,
                               reconstruct_from_weights, settsech, xi_2d_axis,
                               xi_2d_poles, xi_analytic_1d, xi_numeric)
 from flatqed.greens import fb_projector

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cls_reference import cls_vector
 from flatqed.boundstate import EmitterSpec, small_atom
-from flatqed.flatband import cls_set, cls_vector
+from flatqed.flatband import cls_set
 from flatqed.giant import (cls_emitter, cls_superposition_emitter,
                            envelope_emitter, fb_membership_defect,
                            giant_bound_state, giant_interaction)
@@ -208,3 +209,7 @@ def test_giant_interaction_validates():
     e2 = cls_emitter(model, -1.8, 1e-3, 6)
     with pytest.raises(ValueError):
         giant_interaction(model, [e1, e2])
+    # unequal |g|: one gbar^2 prefactor would misstate every K entry
+    e3 = cls_emitter(model, -1.9, 3e-3, 6)
+    with pytest.raises(ValueError, match="identical"):
+        giant_interaction(model, [e1, e3])

@@ -5,9 +5,12 @@ import pytest
 from scipy.special import jv
 
 from flatqed.boundstate import omega0_for_detuning, small_atom
+from flatqed.giant import (cls_emitter, cls_superposition_emitter,
+                           giant_interaction)
 from flatqed.interactions import (bessel_chain_amplitudes, interaction_matrix,
-                                  kappa_couplings, spin_dynamics)
-from flatqed.lattice import build_chain, build_double_comb, build_sawtooth
+                                  spin_dynamics)
+from flatqed.lattice import (build_chain, build_double_comb, build_sawtooth,
+                             build_stub)
 
 
 def test_two_atoms_one_cavity():
@@ -25,8 +28,8 @@ def test_hermiticity_and_reciprocity():
     model = build_sawtooth(40)
     om0 = omega0_for_detuning(model, 0.02)
     ems = [small_atom(model, om0, 1e-3, c, "a") for c in (18, 20, 25)]
-    K = interaction_matrix(model, ems)
-    assert K.hermiticity_residual() < 1e-12
+    K = interaction_matrix(model, ems).K
+    assert np.max(np.abs(K - K.conj().T)) < 1e-12
 
 
 def test_chain_interaction_range_law():
@@ -70,7 +73,6 @@ def test_exact_pole_variant_close_to_leading_order():
     ems = [small_atom(model, om0, 1e-3, c, "a") for c in (18, 21)]
     K0 = interaction_matrix(model, ems)
     K1 = interaction_matrix(model, ems, exact_pole=True)
-    assert not K0.exact_pole and K1.exact_pole
     assert abs(K1.K[0, 1] - K0.K[0, 1]) / abs(K0.K[0, 1]) < 1e-3
 
 
@@ -161,8 +163,68 @@ def test_rk4_oracle_with_nnn_coupling():
     _ = rng  # seeded for future randomized variants
 
 
-def test_kappa_couplings_formula():
-    g, delta_fb, Delta = 1e-3, 0.05, 4.0
-    k1, k2 = kappa_couplings(g, delta_fb, Delta)
-    assert k1 == pytest.approx(g ** 2 / delta_fb * 8.0 / 36.0)
-    assert k2 == pytest.approx(k1 / 8.0)
+def _ring_distance(N):
+    """Distance between cells i and j around a ring of N cells."""
+    d = np.abs(np.subtract.outer(np.arange(N), np.arange(N)))
+    return np.minimum(d, N - d)
+
+
+@pytest.mark.parametrize("Delta", [1.0, 4.0])
+def test_stub_cls_giants_are_a_nearest_neighbour_chain(Delta):
+    """One giant on the CLS of every cell of a stub ring: neighbouring CLSs
+    share one a-site of weight 1/(2 + Delta), so K_01 = g^2/(delta (2 +
+    Delta)), and CLSs further apart share no site, so every entry beyond
+    nearest neighbours is exactly 0."""
+    g, delta, N = 1e-3, 0.05, 12
+    model = build_stub(N, Delta=Delta)
+    om0 = omega0_for_detuning(model, delta)
+    K = giant_interaction(
+        model, [cls_emitter(model, om0, g, n) for n in range(N)]).K
+    kappa1 = g ** 2 / (delta * (2.0 + Delta))
+    dist = _ring_distance(N)
+    assert np.max(np.abs(K[dist == 1] - kappa1)) < 1e-12 * kappa1
+    assert np.all(K[dist > 1] == 0.0)
+
+
+@pytest.mark.parametrize("Delta", [1.0, 4.0])
+def test_stub_pair_giants_next_nearest_ratio(Delta):
+    """Giants on the CLS pair of cells n and n+1 overlap with the pair one
+    cell over through 1 + 2 alpha and with the pair two cells over through
+    alpha = 1/(2 + Delta): K_02/K_01 = 1/(4 + Delta)."""
+    model = build_stub(16, Delta=Delta)
+    om0 = omega0_for_detuning(model, 0.05)
+    ems = [cls_superposition_emitter(model, om0, 1e-3, [n, n + 1], [1.0, 1.0])
+           for n in (4, 5, 6)]
+    K = giant_interaction(model, ems).K
+    ratio = (K[0, 2] / K[0, 1]).real
+    assert abs(ratio * (4.0 + Delta) - 1.0) < 1e-12
+
+
+def test_lattice_spin_chain_follows_bessel_form():
+    """The spin chain of CLS giants on a 64-cell stub ring, with the common
+    diagonal K_00 removed, spreads a flipped spin as i^n J_n(-2 kappa_1 t)
+    for t kappa_1 <= 5."""
+    g, delta, N = 1e-3, 0.05, 64
+    model = build_stub(N, Delta=4.0)
+    om0 = omega0_for_detuning(model, delta)
+    K = giant_interaction(
+        model, [cls_emitter(model, om0, g, n) for n in range(N)]).K
+    kappa1 = K[0, 1].real
+    t_grid = np.linspace(0.0, 5.0 / kappa1, 6)
+    tr = spin_dynamics(K - K[0, 0] * np.eye(N), 0, t_grid)
+    dist = _ring_distance(N)[0]
+    for i, t in enumerate(t_grid):
+        exact = bessel_chain_amplitudes(dist, t, kappa1)
+        assert np.max(np.abs(tr.amplitudes[i] - exact)) < 1e-12
+
+
+@pytest.mark.parametrize("initial,match", [
+    (-1, "outside range"),
+    (5, "outside range"),
+    (np.zeros(3), "non-zero"),
+    (np.array([1.0, math.nan, 0.0]), "finite"),
+    (np.ones(2), "length 3"),
+], ids=["negative", "too-large", "zero-vector", "nan-vector", "short-vector"])
+def test_spin_dynamics_rejects_bad_initial(initial, match):
+    with pytest.raises(ValueError, match=match):
+        spin_dynamics(np.eye(3), initial, np.array([0.0, 1.0]))

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from flatqed.boundstate import small_atom
 from flatqed.errors import ConfigError, UnsupportedLattice
-from flatqed.flatband import (bs_cls_weights, cls_vector,
-                              projector_cls_expansion, reconstruct_from_weights)
+from flatqed.flatband import (bs_cls_weights, projector_cls_expansion,
+                              reconstruct_from_weights)
+from flatqed.giant import cls_emitter
 from flatqed.lattice import (ClsSet, DisorderSpec, LatticeModel,
                              _disorder_draws, _is_real, apply_disorder,
                              bloch_hamiltonian, build_chain, build_checkerboard,
@@ -203,7 +205,7 @@ def test_integer_sublattice_outside_range_is_rejected(sub):
         small_atom(model, -1.9, 1e-3, 2, sub)
     bad = ClsSet(model.cls.omega_fb, model.cls.stencil + ((sub, (0,), 0.1),))
     with pytest.raises(ConfigError):
-        cls_vector(model, 2, bad)
+        cls_emitter(replace(model, cls=bad), -1.9, 1e-3, 2)
     with pytest.raises(ConfigError):
         reconstruct_from_weights(bad, model, np.ones(model.n_cells))
     with pytest.raises(ConfigError):
