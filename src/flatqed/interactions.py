@@ -88,8 +88,11 @@ def spin_dynamics(H_eff: np.ndarray, initial: int | np.ndarray,
     ``initial`` is a spin index or an amplitude vector; it is normalized
     before use."""
     H_eff = np.asarray(H_eff, dtype=complex)
-    if np.max(np.abs(H_eff - H_eff.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(H_eff))):
-        raise ValueError("H_eff must be Hermitian")
+    if (H_eff.ndim != 2 or H_eff.shape[0] != H_eff.shape[1]
+            or not np.isfinite(H_eff).all()
+            or np.max(np.abs(H_eff - H_eff.conj().T))
+            > 1e-12 * max(1.0, np.max(np.abs(H_eff)))):
+        raise ValueError("H_eff must be a finite square Hermitian matrix")
     n = H_eff.shape[0]
     c0, t_grid = _initial_state(initial, n, n, t_grid)
     amps, norm_residual = propagate(H_eff, c0, t_grid)

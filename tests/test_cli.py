@@ -144,6 +144,17 @@ def test_report_rabi_without_flat_band_exit_2(capsys):
     assert "UnsupportedLattice" in err
 
 
+def test_report_rabi_without_oscillation_exit_2(capsys):
+    """A stub b-site has no flat-band weight: its population never falls
+    more than ~5e-7 below 1, and that wiggle is no Rabi half-period."""
+    code, _o, err = run(["dynamics", "--model", "stub", "--N", "30",
+                         "--site", "b:10", "--tmax", "500", "--nt", "50",
+                         "--report-rabi"], capsys)
+    assert code == 2
+    assert "no population minimum" in err
+    assert "rabi_fitted" not in err
+
+
 def test_config_error_exit_2(capsys):
     code, _o, err = run(["loclen", "--model", "sawtooth", "--N", "100",
                          "--site", "a:50", "--scan-delta", "bad"], capsys)

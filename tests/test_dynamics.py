@@ -92,6 +92,8 @@ def test_stub_b_site_no_rabi():
     assert rabi_frequency(model, em) < 1e-8
     ts = evolve(model, [em], 0, np.linspace(0, 1e3, 501))
     assert np.max(np.abs(ts.atom_populations[:, 0] - 1.0)) < 1e-6
+    with pytest.raises(ValueError, match="no population minimum"):
+        fit_rabi_frequency(ts)
 
 
 def test_dispersive_population_bound():
@@ -174,6 +176,63 @@ def test_norm_residual_bounds_the_measured_norm():
     rows, res_rows = propagate(H, c0, t, rows=[0, 3], chunk=7)
     assert res_rows == res
     assert np.max(np.abs(rows - amps[:, [0, 3]])) < 1e-14
+
+
+def _kernel_problem():
+    """A small real atom+bath Hamiltonian and a complex initial vector."""
+    model = build_sawtooth(8)
+    H = total_hamiltonian(model, [small_atom(model, -1.9, 0.1, 4, "a")])
+    c0 = np.zeros(H.shape[0], dtype=complex)
+    c0[[0, 3, 9]] = (0.6, 0.64j, -0.48)
+    return H, c0
+
+
+def _direct_amplitudes(H, c0, t):
+    """Every phase exp(-i w t) from its own cos and sin: the reference the
+    block factorization of ``propagate`` must reproduce."""
+    w, V = np.linalg.eigh(H)
+    theta = -np.multiply.outer(w, t)
+    return (V @ ((V.conj().T @ c0)[:, None]
+                 * (np.cos(theta) + 1j * np.sin(theta)))).T
+
+
+@pytest.mark.parametrize("name, t", [
+    ("geomspace", np.geomspace(1e-2, 400.0, 300)),
+    ("jittered-linspace", np.linspace(0.0, 400.0, 300)
+     + np.random.default_rng(3).uniform(-1e-9, 1e-9, 300)),
+])
+def test_irregular_grid_takes_direct_phases(name, t):
+    """A grid whose blocks do not repeat the first block's steps evaluates
+    every phase directly (B = 1), and matches expm."""
+    H, c0 = _kernel_problem()
+    assert dynamics._block_length(t, 10**6) == 1
+    amps, _res = propagate(H, c0, t)
+    for i in (0, 1, 150, 299):
+        assert np.max(np.abs(amps[i] - expm(-1j * H * t[i]) @ c0)) < 1e-10
+
+
+@pytest.mark.parametrize("name, t", [
+    ("t0-nonzero", np.linspace(137.5, 900.0, 1001)),
+    ("descending", np.linspace(0.0, -600.0, 777)),
+    ("arange", np.arange(-50.0, 400.0, 0.37)),
+    ("empty", np.zeros(0)),
+    ("one-point", np.array([250.0])),
+    ("two-points", np.array([3.0, 250.0])),
+    ("20001-points", np.linspace(0.0, 5000.0, 20001)),
+])
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_uniform_grid_matches_direct_phases(name, t, chunk):
+    """Uniform grids take blocks of ceil(sqrt(n_t)) times (capped by the
+    chunk) and match the direct cos/sin evaluation to 1e-11."""
+    H, c0 = _kernel_problem()
+    n_t = len(t)
+    cap = chunk or max(1, dynamics.CHUNK_ELEMENTS // H.shape[0])
+    block = min(cap, max(1, math.ceil(math.sqrt(n_t))))
+    assert dynamics._block_length(t, cap) == block
+    amps, res = propagate(H, c0, t, chunk=chunk)
+    assert amps.shape == (n_t, H.shape[0]) and res < 1e-12
+    if n_t:
+        assert np.max(np.abs(amps - _direct_amplitudes(H, c0, t))) < 1e-11
 
 
 # ---------------------------------------------------------------------------

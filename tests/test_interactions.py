@@ -102,6 +102,22 @@ def test_spin_dynamics_rejects_nonhermitian():
         spin_dynamics(np.array([[0.0, 1.0], [0.0, 0.0]]), 0, np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spin_dynamics_rejects_nonfinite_h_eff(bad):
+    """A nan or inf entry fails the Hermiticity comparison silently (nan >
+    tol is false), so it is rejected on its own."""
+    H = np.array([[0.0, 0.3], [0.3, 0.0]])
+    H[1, 1] = bad
+    with pytest.raises(ValueError, match="finite square Hermitian"):
+        spin_dynamics(H, 0, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+def test_spin_dynamics_rejects_non_square_h_eff(shape):
+    with pytest.raises(ValueError, match="finite square Hermitian"):
+        spin_dynamics(np.zeros(shape), 0, np.array([0.0, 1.0]))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_spin_dynamics_rejects_nonfinite_times(bad):
     with pytest.raises(ValueError, match="must be finite"):
