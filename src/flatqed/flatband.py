@@ -16,15 +16,17 @@ On a finite lattice f(k) = |phi(k)|^2, where phi(k), the Fourier symbol of
 the stencil, is the FFT of the CLS placed at cell 0 by
 :func:`reconstruct_from_weights`, the one placement of a stencil over a field
 of cell weights.  The CLS expansions are evaluated in that Bloch form on
-the commensurate k-grid, without sites x cells or cells x cells matrices.
+the commensurate k-grid, without sites x cells or cells x cells matrices;
+the projector is one strided copy of its kernel.  Both 2D xi forms are
+O(n_k) sums: residues per kx row, midpoint nodes on the branch cut.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from flatqed.errors import SingularF, UnsupportedLattice
 from flatqed.lattice import ClsSet, LatticeModel
@@ -47,12 +49,17 @@ def _alphas(alpha) -> tuple[float, ...]:
     return alphas
 
 
-XI_BLOCK_ELEMENTS = 1 << 18  # k-grid entries per block of the 2D xi sum
-AXIS_QUADRATURE_NODES = 256  # Gauss-Legendre nodes on the 2D branch cut
+AXIS_QUADRATURE_NODES = 256  # midpoint (Gauss-Chebyshev) nodes on the 2D branch cut
 
 
 def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
     """Discrete Brillouin-zone sum (1/N) sum_k e^{i k . dn} / f(k).
+
+    1D is the direct sum, the independent check of :func:`xi_analytic_1d`.
+    2D costs O(n_k): the ky sum of the row A + B cos ky (A = 1 + 2 alpha_x
+    cos kx, B = 2 alpha_y) is, by residues with aliasing, (z^d + z^{n_k-d}) /
+    ((1 - z^{n_k}) r), r = sqrt(A^2 - B^2), z = -B/(A + r), d = |dy| mod n_k,
+    taken via |z| = e^{-mu} and expm1 so that rows with A -> |B| stay accurate.
 
     Raises :class:`SingularF` if f < 1e-14 anywhere on the grid."""
     if n_k < 1:
@@ -62,25 +69,26 @@ def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
     if dn.shape != (len(alphas),):
         raise ValueError("offset dimension mismatch with alphas")
     k = 2.0 * np.pi * np.arange(n_k) / n_k
-    if len(alphas) == 1:
-        f = 1.0 + 2.0 * alphas[0] * np.cos(k)
-        if np.min(f) < 1e-14:
-            raise SingularF("f(k) is not positive on the grid")
-        val = np.mean(np.cos(k * dn[0]) / f)
-        return float(val)
-    # 2D: cos(kx dx) @ (1/f) @ cos(ky dy), summed over blocks of kx rows of
-    # at most XI_BLOCK_ELEMENTS entries so memory stays bounded
     cx = 1.0 + 2.0 * alphas[0] * np.cos(k)
-    cy = 2.0 * alphas[1] * np.cos(k)
-    phase_x, phase_y = np.cos(k * dn[0]), np.cos(k * dn[1])
-    rows = max(1, XI_BLOCK_ELEMENTS // n_k)
-    acc = 0.0
-    for i in range(0, n_k, rows):
-        f = cx[i:i + rows, None] + cy
-        if np.min(f) < 1e-14:
-            raise SingularF("f(k) is not positive on the grid")
-        acc += float(phase_x[i:i + rows] @ (1.0 / f) @ phase_y)
-    return acc / n_k ** 2
+    b = 2.0 * alphas[1] if len(alphas) > 1 else 0.0
+    if np.min(cx) + np.min(b * np.cos(k)) < 1e-14:   # f is separable
+        raise SingularF("f(k) is not positive on the grid")
+    if len(alphas) == 1:
+        return float(np.mean(np.cos(k * dn[0]) / cx))
+    t = cx - abs(b)                              # A - |B|, exact where it cancels
+    r = np.sqrt(t * (t + 2.0 * abs(b)) + 0j)
+    sign = -1 if b > 0 else 1                    # z = sign e^{-mu}
+    zn = sign ** n_k
+    d = min(dn[1] % n_k, -dn[1] % n_k)           # the row sum is even in d
+    with np.errstate(all="ignore"):      # B -> 0: x -> inf, capped; A = B: 0/0
+        mu = (np.log1p(np.nan_to_num((np.maximum(t, 0.0) + r.real) / abs(b)))
+              + 1j * np.arctan2(r.imag, cx))
+        rows = (sign ** d * np.exp(-d * mu)
+                * (1 + zn + zn * np.expm1(-(n_k - 2 * d) * mu))
+                / ((1 - zn - zn * np.expm1(-n_k * mu)) * r))
+        rows[t == 0] = sign ** d * (n_k - 2 * d) / (2.0 * b)   # mu -> 0
+    phase = np.cos(2.0 * np.pi * (np.arange(n_k) * (dn[0] % n_k) % n_k) / n_k)
+    return float(phase @ rows.real) / n_k
 
 
 def settsech(x: float) -> float:
@@ -147,27 +155,6 @@ def xi_2d_poles(alpha: float) -> tuple[float, float]:
     return z1, z2
 
 
-@lru_cache(maxsize=64)
-def _axis_quadrature(alpha: float):
-    """Precompute the branch-cut quadrature nodes/weights for xi_2d_axis.
-
-    Doing the inner (transverse) momentum integral by residues leaves an
-    outer contour integral whose only singularities inside the unit circle
-    are the branch points z_1 < z_2 < 0.  Collapsing the contour onto the
-    cut [z_1, z_2] and substituting z = -t, t = mid + half*cos(theta) gives a
-    smooth positive integrand evaluated by Gauss-Legendre quadrature.
-    """
-    z1, z2 = xi_2d_poles(alpha)
-    t1, t2 = -z1, -z2          # 0 < t2 < t1 < 1
-    nodes, weights = np.polynomial.legendre.leggauss(AXIS_QUADRATURE_NODES)
-    theta = 0.5 * np.pi * (nodes + 1.0)
-    wq = 0.5 * np.pi * weights
-    t = 0.5 * (t1 + t2) + 0.5 * (t1 - t2) * np.cos(theta)
-    outer = np.sqrt((1.0 / t1 - t) * (1.0 / t2 - t))
-    base = wq / (np.pi * alpha * outer)
-    return t, base
-
-
 def xi_2d_axis(alpha: float, d: int) -> float:
     """Exact on-axis 2D weight function xi(d, 0) for isotropic |alpha| < 1/4.
 
@@ -178,17 +165,22 @@ def xi_2d_axis(alpha: float, d: int) -> float:
 
     which is positive and non-oscillatory, so the relative accuracy is
     preserved even deep in the exponential tail.  Asymptotically
-    |xi(d+1)/xi(d)| -> exp(-1/lambda_2d) (the slower branch point)."""
+    |xi(d+1)/xi(d)| -> exp(-1/lambda_2d) (the slower branch point).  With
+    t = mid + half cos(theta) the integrand is analytic in cos(theta), so the
+    midpoint rule in theta converges exponentially: one O(n) sum per call."""
     a = float(alpha)
     if a == 0.0:
         raise ValueError("alpha = 0: xi is a Kronecker delta; no 2D law")
     if not abs(a) < 0.25:
         raise SingularF("|alpha| >= 1/4: f(k) vanishes in the Brillouin zone")
     d = abs(int(d))
-    t, base = _axis_quadrature(abs(a))
-    val = float(np.sum(t ** d * base))
-    sign = (-1.0 if a > 0 else 1.0) ** d
-    return sign * val
+    t1, t2 = (-z for z in xi_2d_poles(abs(a)))      # 0 < t2 < t1 < 1
+    n = AXIS_QUADRATURE_NODES
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    t = 0.5 * (t1 + t2) + 0.5 * (t1 - t2) * np.cos(theta)
+    outer = np.sqrt((1.0 / t1 - t) * (1.0 / t2 - t))
+    val = float(np.sum(t ** d / outer)) / (n * abs(a))
+    return (-1.0 if a > 0 else 1.0) ** d * val
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +211,19 @@ def projector_cls_expansion(cls: ClsSet, model: LatticeModel) -> np.ndarray:
     block-circulant kernel P[(n, s), (n', s')] = K(n - n')[s, s']."""
     phi, f = _cls_symbol(cls, model)
     Pk = phi[..., :, None] * phi[..., None, :].conj() / f[..., None, None]
-    K = np.fft.ifftn(Pk, axes=tuple(range(model.dim))).real
-    cells = np.indices(model.shape).reshape(model.dim, -1)
-    diff = np.ravel_multi_index(tuple(cells[:, :, None] - cells[:, None, :]),
-                                model.shape, mode="wrap")
-    P = K.reshape(-1, model.Q, model.Q)[diff]            # (n, n', s, s')
-    return P.transpose(0, 2, 1, 3).reshape(model.n_sites, model.n_sites)
+    return _block_circulant(np.fft.ifftn(Pk, axes=tuple(range(model.dim))).real)
+
+
+def _block_circulant(K: np.ndarray) -> np.ndarray:
+    """M[(n, s), (n', s')] = K[n - n' mod cells][s, s'] for K shaped (cells...,
+    Q, Q): with e[j] = K[N - 1 - j mod N], j < 2N - 1, per cell axis, row block
+    n is e's window at N - 1 - n, so M is one copy of a strided view."""
+    shape, dim = K.shape[:-2], K.ndim - 2
+    e = K[np.ix_(*[(n - 1 - np.arange(2 * n - 1)) % n for n in shape])]
+    view = sliding_window_view(e, shape, axis=tuple(range(dim)))
+    view = view[(slice(None, None, -1),) * dim]       # (n..., s, s', n'...)
+    view = view.transpose(*range(dim), dim, *range(dim + 2, 2 * dim + 2), dim + 1)
+    return view.reshape(K.shape[-1] * math.prod(shape), -1)
 
 
 def bs_cls_weights(cls: ClsSet, model: LatticeModel, x0: int) -> np.ndarray:

@@ -193,7 +193,7 @@ def test_xi_2d_axis_matches_numeric(alpha):
 
 
 def test_xi_2d_default_grid_matches_axis_form():
-    """The default n_k = 4096 grid takes 64 blocks of kx rows."""
+    """The default n_k = 4096 grid agrees with the branch-cut form."""
     for d in (0, 3):
         assert xi_numeric((0.15, 0.15), (d, 0)) == pytest.approx(
             xi_2d_axis(0.15, d), rel=1e-9)
@@ -209,25 +209,83 @@ def _xi_2d_row_loop(alphas, dn, n_k):
     return acc / n_k ** 2
 
 
-@pytest.mark.parametrize("block", [1, 64 * 7, 64 * 64])
+@pytest.mark.parametrize("n_k", [1, 64 * 7, 64 * 64])
 @pytest.mark.parametrize("alphas,dn", [((0.15, 0.15), (3, 0)),
                                        ((0.2, -0.1), (2, 5)),
                                        ((-0.05, 0.22), (-4, 1))])
-def test_xi_2d_blocks_match_row_loop(monkeypatch, block, alphas, dn):
-    """Blocks of 1, 7 (uneven) or all 64 rows give the row-by-row sum."""
-    monkeypatch.setattr(flatband, "XI_BLOCK_ELEMENTS", block)
-    assert xi_numeric(alphas, dn, n_k=64) == pytest.approx(
-        _xi_2d_row_loop(alphas, dn, 64), rel=1e-12, abs=1e-16)
+def test_xi_2d_blocks_match_row_loop(alphas, dn, n_k):
+    """Each kx row's ky block, summed in closed form, gives the row-by-row
+    sum on grids of 1, 448 and 4096 points."""
+    assert xi_numeric(alphas, dn, n_k=n_k) == pytest.approx(
+        _xi_2d_row_loop(alphas, dn, n_k), rel=1e-12, abs=1e-16)
 
 
-@pytest.mark.parametrize("block", [1, 64 * 7, 64 * 64])
+@pytest.mark.parametrize("alphas,dn,n_k", [((0.25, 0.25), (1, 2), 63),
+                                            ((0.0, 0.5 - 1e-13), (0, 1), 5),
+                                            ((-0.25, 0.25), (0, 3), 63),
+                                            ((0.3, 0.45), (1, 1), 3),
+                                            ((-0.1, 0.45), (2, 4), 5)])
+def test_xi_2d_odd_grid_rows_match_row_loop(alphas, dn, n_k):
+    """Odd grids that miss the zeros of f leave rows A + B cos ky with
+    A -> B (alpha = (1/4, 1/4); A - B = 2e-13 at alpha = (0, 1/2 - 1e-13),
+    where 1 - e^{-m mu} needs expm1), A = B exactly (the removable limit
+    mu -> 0, at kx = 0 for alpha = (-1/4, 1/4)) and A < B (z on the unit
+    circle, the coarse grids); those rows sum exactly too."""
+    assert xi_numeric(alphas, dn, n_k=n_k) == pytest.approx(
+        _xi_2d_row_loop(alphas, dn, n_k), rel=1e-12)
+
+
+@pytest.mark.parametrize("n_k", [1, 64 * 7, 64 * 64])
 @pytest.mark.parametrize("alpha", [0.25, -0.25])
-def test_xi_2d_singular_in_any_block(monkeypatch, block, alpha):
-    """f vanishes at k = (pi, pi) for alpha = 1/4 (a middle block) and at
-    k = 0 for alpha = -1/4 (the first block)."""
-    monkeypatch.setattr(flatband, "XI_BLOCK_ELEMENTS", block)
+def test_xi_2d_singular_in_any_block(alpha, n_k):
+    """f vanishes at k = (pi, pi) for alpha = 1/4 (a middle kx row, on even
+    grids only) and at k = 0 for alpha = -1/4 (the first row, on every
+    grid)."""
+    if alpha > 0 and n_k % 2:
+        assert math.isfinite(xi_numeric((alpha, alpha), (1, 0), n_k=n_k))
+        return
     with pytest.raises(SingularF):
-        xi_numeric((alpha, alpha), (1, 0), n_k=64)
+        xi_numeric((alpha, alpha), (1, 0), n_k=n_k)
+
+
+def _xi_2d_longdouble(alphas, dn, n_k):
+    """The direct n_k x n_k double sum in extended precision, and the
+    first-order round-off bound of the same sum in double precision: the
+    term cos(kx dx) cos(ky dy) / f carries a relative error of eps times
+    g / f from f, with g = 1 + 2 |alpha_x cos kx| + 2 |alpha_y cos ky|, and an
+    absolute error of eps |k d| from each cosine argument."""
+    k = 2.0 * np.pi * np.arange(n_k, dtype=np.longdouble) / n_k
+    kx, ky = k[:, None], k[None, :]
+    ax, ay = (np.longdouble(a) for a in alphas)
+    f = 1 + 2 * ax * np.cos(kx) + 2 * ay * np.cos(ky)
+    val = np.sum(np.cos(kx * dn[0]) * np.cos(ky * dn[1]) / f) / n_k ** 2
+    g = 1 + 2 * abs(ax * np.cos(kx)) + 2 * abs(ay * np.cos(ky))
+    cond = np.sum((g / f + abs(kx * dn[0]) + abs(ky * dn[1])) / f) / n_k ** 2
+    return float(val), float(16 * np.finfo(float).eps * cond)
+
+
+@given(alphas=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+       zero_y=st.booleans(),
+       n_k=st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 33)),
+       data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_xi_2d_matches_longdouble_double_sum(alphas, zero_y, n_k, data):
+    """Over anisotropic and negative overlaps (alpha_y = 0 included), grids of
+    1, 2, 3 and more points of either parity, and offsets of either sign up
+    to twice the grid, the closed form meets the round-off bound of the
+    direct double sum, or raises SingularF exactly where that sum's grid
+    has f < 1e-14."""
+    alphas = (alphas[0], 0.0 if zero_y else alphas[1])
+    dn = data.draw(st.tuples(st.integers(-2 * n_k, 2 * n_k),
+                             st.integers(-2 * n_k, 2 * n_k)))
+    k = 2.0 * np.pi * np.arange(n_k) / n_k
+    f = (1.0 + 2.0 * alphas[0] * np.cos(k))[:, None] + 2.0 * alphas[1] * np.cos(k)
+    if np.min(f) < 1e-14:
+        with pytest.raises(SingularF):
+            xi_numeric(alphas, dn, n_k=n_k)
+        return
+    ref, tol = _xi_2d_longdouble(alphas, dn, n_k)
+    assert abs(xi_numeric(alphas, dn, n_k=n_k) - ref) <= tol
 
 
 def test_xi_2d_axis_deep_tail_stable():
@@ -239,11 +297,51 @@ def test_xi_2d_axis_deep_tail_stable():
     assert r30 == pytest.approx(z1, rel=2e-2)
 
 
+def _xi_2d_axis_reference(alpha, d, n=4096):
+    """The branch-cut integral of xi_2d_axis on n midpoint nodes."""
+    z1, z2 = xi_2d_poles(abs(alpha))
+    t1, t2 = -z1, -z2
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    t = 0.5 * (t1 + t2) + 0.5 * (t1 - t2) * np.cos(theta)
+    integral = np.sum(t ** d / np.sqrt((1 / t1 - t) * (1 / t2 - t))) * np.pi / n
+    return (-np.sign(alpha)) ** d * integral / (np.pi * abs(alpha))
+
+
+@pytest.mark.parametrize("alpha", [0.01, -0.15, 0.2499])
+def test_xi_2d_axis_quadrature_converged(alpha):
+    """AXIS_QUADRATURE_NODES nodes agree with 4096 to 1e-13 relative, out to
+    d = 120 (xi spans 240 decades there at alpha = 0.01)."""
+    for d in range(121):
+        assert xi_2d_axis(alpha, d) == pytest.approx(
+            _xi_2d_axis_reference(alpha, d), rel=1e-13, abs=0.0)
+
+
 def test_xi_2d_axis_rejects_touching():
     with pytest.raises(SingularF):
         xi_2d_axis(0.25, 3)
     with pytest.raises(ValueError):
         xi_2d_axis(0.0, 3)
+
+
+def _block_circulant_gather(K):
+    """M[(n, s), (n', s')] = K[n - n'][s, s'] gathered through a cells x cells
+    table of wrapped offsets."""
+    shape, dim, Q = K.shape[:-2], K.ndim - 2, K.shape[-1]
+    cells = np.indices(shape).reshape(dim, -1)
+    diff = np.ravel_multi_index(tuple(cells[:, :, None] - cells[:, None, :]),
+                                shape, mode="wrap")
+    M = K.reshape(-1, Q, Q)[diff]                          # (n, n', s, s')
+    return M.transpose(0, 2, 1, 3).reshape(M.shape[0] * Q, -1)
+
+
+@pytest.mark.parametrize("Q", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(5,), (4, 6), (5, 3)])
+def test_block_circulant_equals_gather(shape, Q):
+    """The strided view is the offset-table gather bit for bit, in 1D and 2D
+    (no builder has a gapped 2D flat band, so this is the 2D check)."""
+    K = np.random.default_rng(Q).standard_normal(shape + (Q, Q))
+    assert np.array_equal(flatband._block_circulant(K),
+                          _block_circulant_gather(K))
 
 
 @pytest.mark.parametrize("model", [build_sawtooth(12),
