@@ -24,7 +24,7 @@ from flatqed.errors import ConfigError, InsufficientData, NoRootInGap
 from flatqed.flatband import cls_set
 from flatqed.greens import (POLE_GUARD, resolvent_vector, self_energy,
                             spectral_basis)
-from flatqed.lattice import LatticeModel, real_space_hamiltonian, site_index
+from flatqed.lattice import LatticeModel, site_index
 
 
 @dataclass(frozen=True)
@@ -192,23 +192,6 @@ def bs_wavefunction(model: LatticeModel, emitter: EmitterSpec,
     residual = abs(c_e ** 2 + float(np.vdot(psi, psi).real) - 1.0)
     return BoundStateResult(omega_bs=float(omega_bs), psi=psi, c_e=c_e,
                             emitter=emitter, norm_residual=residual)
-
-
-def total_hamiltonian(model: LatticeModel,
-                      emitters: Sequence[EmitterSpec]) -> np.ndarray:
-    """Single-excitation Hamiltonian of emitters + bath.
-
-    Basis ordering: the emitters first, then all lattice sites."""
-    n_e = len(emitters)
-    n = model.n_sites
-    H = np.zeros((n_e + n, n_e + n), dtype=complex)
-    H[n_e:, n_e:] = real_space_hamiltonian(model)
-    for j, em in enumerate(emitters):
-        H[j, j] = em.omega0
-        for x, g in em.couplings:
-            H[j, n_e + x] += np.conj(g)
-            H[n_e + x, j] += g
-    return H
 
 
 # ---------------------------------------------------------------------------

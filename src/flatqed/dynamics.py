@@ -7,8 +7,8 @@ A single excitation shared by the emitters and the bath never leaves
 where P_E projects onto the bath eigenspace of energy E and g_j chi_j is the
 coupling vector of emitter j (modified eigenproblems: Golub, SIAM Rev. 15,
 318 (1973); exact emitter dynamics in structured baths: Gonzalez-Tudela &
-Cirac, PRA 96, 043811 (2017)).  For a clean model :func:`evolve` works in
-that subspace, in the resolvent seam's basis
+Cirac, PRA 96, 043811 (2017)).  :func:`evolve` works in that subspace for
+every model, in the resolvent seam's basis
 (:func:`flatqed.greens.spectral_basis`: the dense eigensystem or the Bloch
 basis):
 
@@ -21,15 +21,17 @@ basis):
    run stay separate;
 3. each level's rows of C are reduced to their numerical rank by one small
    SVD, and the modes that no column reaches are dropped;
-4. the bordered ("arrowhead") matrix of the emitters and the M reduced
-   modes, [[diag(omega0), B^H], [B, diag(E)]], is diagonalized by
-   :func:`propagate`.
+4. each mode's free phase makes its coupling to the first column real and
+   non-negative (B/|B| exactly: +-1 for a real coupling), and the bordered
+   ("arrowhead") matrix of the emitters and the M reduced modes,
+   [[diag(omega0), B^H], [B, diag(E)]], is diagonalized by
+   :func:`propagate`; real couplings in a real basis keep it real.
 
 One emitter sees the N-fold flat band of the sawtooth as one mode, so the
-Rabi run on 1000 sites is a 253 x 253 problem instead of 1001 x 1001.
-Disordered models have no degeneracy to exploit and keep one dense ``eigh``
-of :func:`~flatqed.boundstate.total_hamiltonian`, which is also the oracle
-of the reduced path.
+Rabi run on 1000 sites is a 253 x 253 problem instead of 1001 x 1001.  A
+disordered model takes the same path.  Disorder splits most levels, but
+off-diagonal (chiral) disorder keeps the N zero modes of the stub
+degenerate, and they merge into one level.
 
 :func:`propagate` computes only the rows its caller reads (the emitters, and
 the site field through ``basis.synthesize`` when photons are stored), a
@@ -63,7 +65,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from flatqed.boundstate import EmitterSpec, total_hamiltonian
+from flatqed.boundstate import EmitterSpec
 from flatqed.flatband import cls_set
 from flatqed.greens import (fb_weights, spectral_amplitudes, spectral_basis,
                             synthesize)
@@ -193,16 +195,18 @@ def _initial_state(initial: int | np.ndarray, n_index: int, dim: int,
 
 
 def _reduced_problem(model: LatticeModel, emitters: tuple[EmitterSpec, ...],
-                     c0: np.ndarray, explicit: bool, t_max: float
+                     c0: np.ndarray, t_max: float
                      ) -> tuple[np.ndarray, np.ndarray,
                                 Callable[[np.ndarray], np.ndarray]]:
     """The bordered Hamiltonian of the emitters and the bath modes they
-    reach, the initial vector in its basis, and the map from a chunk of
-    reduced photon amplitudes (modes x times) to the site field."""
+    (and the photon part of ``c0``, when non-zero) reach, the initial vector
+    in its basis, and the map from a chunk of reduced photon amplitudes
+    (modes x times) to the site field."""
     n_e = len(emitters)
     basis = spectral_basis(model)
     cols = [em.chi(model.n_sites) * em.gbar for em in emitters]
-    if explicit:
+    photons = c0[n_e:].any()
+    if photons:
         cols.append(c0[n_e:])
     C = basis.amplitudes(np.column_stack(cols))
     norms = np.linalg.norm(C, axis=0)
@@ -240,18 +244,19 @@ def _reduced_problem(model: LatticeModel, emitters: tuple[EmitterSpec, ...],
             n_modes += count
     B = np.concatenate(couplings)
     # a mode's phase is free: make its coupling to the first column real and
-    # non-negative, so a single emitter gives a real bordered matrix
-    phase = np.exp(1j * np.angle(B[:, 0]))
+    # non-negative.  B/|B| is exact, so real couplings keep H real
+    phase = np.sign(B[:, 0])
+    phase[phase == 0] = 1.0
     B = B * phase.conj()[:, None]
     B[:, 0] = np.abs(B[:, 0])
     embedding = [(idx, coef * phase[modes, None], modes)
                  for idx, coef, modes in embedding]
 
     H = np.diag(np.concatenate([[em.omega0 for em in emitters],
-                                *energies])).astype(complex)
+                                *energies])).astype(B.dtype)
     H[n_e:, :n_e] = B[:, :n_e]
     H[:n_e, n_e:] = B[:, :n_e].conj().T
-    c_red = np.concatenate([c0[:n_e], B[:, n_e] if explicit
+    c_red = np.concatenate([c0[:n_e], B[:, n_e] if photons
                             else np.zeros(n_modes)])
 
     def to_sites(x: np.ndarray) -> np.ndarray:
@@ -271,24 +276,19 @@ def evolve(model: LatticeModel, emitters: Sequence[EmitterSpec],
     ``initial`` is either an emitter index or an explicit amplitude vector in
     the (emitters..., sites...) ordering; it is normalized before use.
 
-    A clean model is evolved in the subspace the emitters (and the photon
-    part of an explicit ``initial``) couple to, as described in the module
-    docstring: degenerate bath levels are merged only where spread * max|t|
-    <= ``MERGE_PHASE``, so populations agree with the dense evolution to
-    ~1e-10.  A disordered model is evolved by one dense ``eigh`` of
-    :func:`~flatqed.boundstate.total_hamiltonian`.  With ``store_photons``
-    the site populations are synthesized a chunk of times at a time."""
+    Every model, clean or disordered, is evolved in the subspace the
+    emitters (and the photon part of ``initial``) couple to, as described in
+    the module docstring: degenerate bath levels are merged only where
+    spread * max|t| <= ``MERGE_PHASE``, so populations agree with the dense
+    evolution of the full atom+bath Hamiltonian to ~1e-10.  With
+    ``store_photons`` the site populations are synthesized a chunk of times
+    at a time."""
     emitters = tuple(emitters)
     n_e = len(emitters)
     n = model.n_sites
-    explicit = not isinstance(initial, (int, np.integer))
     c0, t_grid = _initial_state(initial, n_e, n_e + n, t_grid)
-    if model.disorder is None:
-        t_max = float(np.max(np.abs(t_grid))) if t_grid.size else 0.0
-        H, c0, to_sites = _reduced_problem(model, emitters, c0, explicit,
-                                           t_max)
-    else:
-        H, to_sites = total_hamiltonian(model, emitters), None
+    t_max = float(np.max(np.abs(t_grid))) if t_grid.size else 0.0
+    H, c0, to_sites = _reduced_problem(model, emitters, c0, t_max)
 
     if not store_photons:
         pops, norm_residual = propagate(H, c0, t_grid, np.arange(n_e),
@@ -296,8 +296,7 @@ def evolve(model: LatticeModel, emitters: Sequence[EmitterSpec],
         return TimeSeries(t_grid, pops, norm_residual)
 
     def readout(x: np.ndarray) -> np.ndarray:
-        field = x[n_e:] if to_sites is None else to_sites(x[n_e:])
-        return np.abs(np.concatenate([x[:n_e], field])) ** 2
+        return np.abs(np.concatenate([x[:n_e], to_sites(x[n_e:])])) ** 2
 
     chunk = max(1, CHUNK_ELEMENTS // max(H.shape[0], n))
     pops, norm_residual = propagate(H, c0, t_grid, readout=readout,

@@ -61,10 +61,13 @@ def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
     ((1 - z^{n_k}) r), r = sqrt(A^2 - B^2), z = -B/(A + r), d = |dy| mod n_k,
     taken via |z| = e^{-mu} and expm1 so that rows with A -> |B| stay accurate.
 
-    Raises :class:`SingularF` if f < 1e-14 anywhere on the grid."""
+    Raises :class:`SingularF` if f < 1e-14 anywhere on the grid, and
+    ``ValueError`` for more than two overlaps."""
     if n_k < 1:
         raise ValueError("n_k must be >= 1")
     alphas = _alphas(alpha)
+    if not 1 <= len(alphas) <= 2:
+        raise ValueError("xi_numeric takes one or two CLS overlaps")
     dn = np.atleast_1d(np.asarray(delta_n, dtype=int))
     if dn.shape != (len(alphas),):
         raise ValueError("offset dimension mismatch with alphas")

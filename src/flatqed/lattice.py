@@ -31,7 +31,8 @@ StencilEntry = tuple[int, tuple[int, ...], float]
 
 @dataclass(frozen=True)
 class DisorderSpec:
-    """Uniform disorder drawn on [-strength, +strength] with a fixed seed.
+    """Uniform disorder drawn on [-strength, +strength] with a fixed seed
+    (a non-negative int or numpy integer).
 
     ``kind`` is ``"diagonal"`` (on-site energies) or ``"off-diagonal"``
     (hopping magnitudes only; Hermiticity and any chiral symmetry of the
@@ -47,6 +48,10 @@ class DisorderSpec:
             raise ConfigError(f"unknown disorder kind {self.kind!r}")
         if not (math.isfinite(self.strength) and self.strength >= 0):
             raise ConfigError("disorder strength must be finite and >= 0")
+        if (not isinstance(self.seed, (int, np.integer))
+                or isinstance(self.seed, bool) or self.seed < 0):
+            raise ConfigError(f"disorder seed must be an integer >= 0, "
+                              f"got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -321,17 +326,21 @@ def model_from_spec(spec: Mapping) -> LatticeModel:
         if cells != shape:
             raise ConfigError(f"cell counts must be integers, got {N!r}")
         model = builder(*cells, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad lattice spec: {exc}") from exc
     dis = spec.get("disorder")
     if dis:
         if not isinstance(dis, Mapping) or not {"kind", "strength"} <= dis.keys():
             raise ConfigError("disorder spec needs 'kind' and 'strength'")
+        seed = dis.get("seed", 0)
         try:
-            strength, seed = float(dis["strength"]), int(dis.get("seed", 0))
-        except (TypeError, ValueError) as exc:
+            strength = float(dis["strength"])
+            if int(seed) != seed:
+                raise ValueError(f"seed must be an integer, got {seed!r}")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"bad disorder spec: {exc}") from exc
-        model = apply_disorder(model, DisorderSpec(dis["kind"], strength, seed))
+        model = apply_disorder(model, DisorderSpec(dis["kind"], strength,
+                                                   int(seed)))
     return model
 
 

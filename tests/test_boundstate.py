@@ -6,12 +6,12 @@ import pytest
 from flatqed.boundstate import (BoundStateResult, EmitterSpec, bs_profile,
                                 bs_wavefunction,
                                 localization_length_fit, omega0_for_detuning,
-                                pole_residual, small_atom, solve_pole,
-                                total_hamiltonian)
+                                pole_residual, small_atom, solve_pole)
 from flatqed.errors import InsufficientData, NoRootInGap
 from flatqed.lattice import (build_chain, build_checkerboard,
                              build_kagome1d, build_sawtooth, build_stub,
                              real_space_hamiltonian, site_index)
+from dense_reference import total_hamiltonian
 
 
 def test_single_cavity_exact_pole():

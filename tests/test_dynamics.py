@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from flatqed import dynamics, greens
-from flatqed.boundstate import EmitterSpec, small_atom, total_hamiltonian
+from flatqed.boundstate import EmitterSpec, small_atom
 from flatqed.dynamics import (evolve, fit_rabi_frequency, propagate,
                               rabi_frequency)
 from flatqed.giant import cls_emitter
 from flatqed.lattice import (DisorderSpec, apply_disorder, build_chain,
                              build_checkerboard, build_double_comb,
                              build_kagome1d, build_sawtooth, build_stub)
+from dense_reference import total_hamiltonian
 
 
 def test_decoupled_emitter_stays_excited():
@@ -309,8 +310,17 @@ ORACLE_CASES = _oracle_cases()
 
 @pytest.mark.parametrize("name", list(ORACLE_CASES))
 def test_evolve_matches_expm_oracle(name):
+    """The reduced evolve equals expm; real hoppings with real couplings
+    give a bordered matrix with no imaginary part, so ``propagate`` takes
+    the real ``eigh``, and complex couplings keep their imaginary part."""
     model, emitters, initial = ORACLE_CASES[name]
     _assert_matches_expm(model, emitters, initial, T_ORACLE)
+    c0 = np.eye(len(emitters) + model.n_sites, dtype=complex)[initial]
+    H = dynamics._reduced_problem(model, tuple(emitters), c0,
+                                  T_ORACLE[-1])[0]
+    real = (np.isreal([amp for *_, amp in model.hoppings]).all()
+            and np.isreal([g for em in emitters for _, g in em.couplings]).all())
+    assert H.imag.any() != real
 
 
 @pytest.mark.parametrize("disorder", [None, DisorderSpec("diagonal", 0.2, 1)])
@@ -336,7 +346,7 @@ def test_decoupled_emitters_leave_the_reduced_subspace_empty():
     emitters = [EmitterSpec(0.5, ((0, 0.0),)), EmitterSpec(-1.0, ((3, 0.0),))]
     H, c_red, _ = dynamics._reduced_problem(
         model, tuple(emitters), np.r_[1.0, np.zeros(21)].astype(complex),
-        False, 40.0)
+        40.0)
     assert H.shape == (2, 2) and np.allclose(c_red, [1.0, 0.0])
     ts = _assert_matches_expm(model, emitters, 1, T_ORACLE)
     assert np.max(np.abs(ts.atom_populations[:, 1] - 1.0)) < 1e-12
@@ -352,9 +362,14 @@ def test_reduced_dimension_counts_distinct_levels():
     model = build_sawtooth(40)
     em = small_atom(model, -2.0, 1e-3, 20, "a")
     c0 = np.r_[1.0, np.zeros(model.n_sites)].astype(complex)
-    H, _c, _f = dynamics._reduced_problem(model, (em,), c0, False, 1e3)
+    H, _c, _f = dynamics._reduced_problem(model, (em,), c0, 1e3)
     assert H.shape == (1 + 1 + 21, 1 + 1 + 21)
     assert not H.imag.any()
+    # a real explicit initial vector with photon weight: a second column,
+    # and still no imaginary part in H or in the reduced initial vector
+    c0[1::7] = 0.3
+    H, c_red, _f = dynamics._reduced_problem(model, (em,), c0, 1e3)
+    assert not H.imag.any() and not c_red.imag.any()
 
 
 def test_merge_bound_keeps_near_degenerate_levels_apart():
@@ -369,8 +384,8 @@ def test_merge_bound_keeps_near_degenerate_levels_apart():
     assert spread > 0
     short = dynamics.MERGE_PHASE / spread / 2
     long = dynamics.MERGE_PHASE / spread * 2
-    n_short = dynamics._reduced_problem(model, (em,), c0, False, short)[0].shape[0]
-    n_long = dynamics._reduced_problem(model, (em,), c0, False, long)[0].shape[0]
+    n_short = dynamics._reduced_problem(model, (em,), c0, short)[0].shape[0]
+    n_long = dynamics._reduced_problem(model, (em,), c0, long)[0].shape[0]
     assert n_long > n_short
 
 
@@ -428,8 +443,6 @@ def test_large_sawtooth_evolves_in_the_bloch_basis(monkeypatch):
     model = build_sawtooth(2000)
     assert model.n_sites > greens.DENSE_MAX_SITES
     monkeypatch.setattr(greens, "eigensystem", _forbid("eigensystem"))
-    monkeypatch.setattr(dynamics, "total_hamiltonian",
-                        _forbid("total_hamiltonian"))
     g = 1e-3
     target = g * math.sqrt(1.0 - 1.0 / math.sqrt(3.0))
     em = small_atom(model, -2.0, g, 1000, "a")

@@ -160,6 +160,9 @@ def test_xi_symmetric_in_distance():
 def test_xi_singular_at_half():
     with pytest.raises(SingularF):
         xi_numeric(0.5, (0,))
+    # and no sum beyond two dimensions
+    with pytest.raises(ValueError, match="one or two CLS overlaps"):
+        xi_numeric((0.1, 0.1, 0.1), (0, 0, 5), n_k=64)
 
 
 def test_lambda_1d_value():

@@ -248,6 +248,23 @@ def test_disorder_strength_must_be_finite_and_nonnegative(strength):
         DisorderSpec("diagonal", strength, seed=0)
 
 
+def _seeded_stub(seed):
+    return {"model": "stub", "N": 8,
+            "disorder": {"kind": "diagonal", "strength": 0.1, "seed": seed}}
+
+
+@pytest.mark.parametrize("seed", [-1, np.int64(-2), 1.5, 2.0, "3", True, None])
+def test_disorder_seed_must_be_a_nonnegative_integer(seed):
+    """Only a non-negative int or numpy integer (not a bool) is a seed; a
+    negative one used to fail in numpy's generator at the first assembly.
+    ``model_from_spec`` takes an integral float, as it does for ``N``."""
+    with pytest.raises(ConfigError, match="seed must be an integer >= 0"):
+        DisorderSpec("diagonal", 0.1, seed=seed)
+    assert DisorderSpec("diagonal", 0.1, seed=np.int64(3)).seed == 3
+    assert (model_from_spec(_seeded_stub(2.0)).disorder
+            == DisorderSpec("diagonal", 0.1, 2))
+
+
 def test_cell_index_lexicographic_2d():
     model = build_checkerboard(4, 5)
     assert model.cell_index((0, 0)) == 0
@@ -380,7 +397,14 @@ def test_model_from_spec_defaults_come_from_the_builders():
      "doublecomb takes no params"),
     ({"model": "stub", "N": 5.7}, "cell counts must be integers"),
     ({"model": "checkerboard", "N": [5, 4.5]}, "cell counts must be integers"),
-], ids=["misspelt-param", "foreign-param", "fractional-N", "fractional-2d-N"])
+    ({"model": "stub", "N": math.inf}, "bad lattice spec"),
+    (_seeded_stub(1.5), "seed must be an integer, got 1.5"),
+    (_seeded_stub("2"), "seed must be an integer, got '2'"),
+    (_seeded_stub(math.inf), "bad disorder spec"),
+    (_seeded_stub(-1), "seed must be an integer >= 0"),
+], ids=["misspelt-param", "foreign-param", "fractional-N", "fractional-2d-N",
+        "infinite-N", "fractional-seed", "string-seed", "infinite-seed",
+        "negative-seed"])
 def test_model_from_spec_rejects_bad_input(spec, match):
     with pytest.raises(ConfigError, match=match):
         model_from_spec(spec)

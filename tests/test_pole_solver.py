@@ -19,12 +19,12 @@ from scipy.optimize import brentq
 
 from flatqed import boundstate
 from flatqed.boundstate import (_safe_newton, bs_wavefunction,
-                                omega0_for_detuning, small_atom, solve_pole,
-                                total_hamiltonian)
+                                omega0_for_detuning, small_atom, solve_pole)
 from flatqed.errors import NoRootInGap
 from flatqed.greens import self_energy
 from flatqed.lattice import (MODELS, build_chain, build_kagome1d,
                              build_sawtooth, build_stub, model_from_spec)
+from dense_reference import total_hamiltonian
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
