@@ -24,10 +24,10 @@ from flatqed.dynamics import evolve, fit_rabi_frequency, rabi_frequency
 from flatqed.errors import ConfigError, FlatQedError, UnsupportedLattice
 from flatqed.flatband import cls_set, xi_analytic_1d, xi_numeric
 from flatqed.giant import cls_emitter, giant_interaction
+from flatqed.greens import eigenvalues
 from flatqed.interactions import InteractionMatrix, interaction_matrix
 from flatqed.lattice import (MODELS, DisorderSpec, LatticeModel,
-                             apply_disorder, model_from_spec,
-                             real_space_hamiltonian)
+                             apply_disorder, model_from_spec)
 from flatqed.spectrum import band_structure, flat_band_width_real_space
 
 # ---------------------------------------------------------------------------
@@ -258,13 +258,15 @@ def _cmd_dynamics(args: argparse.Namespace) -> None:
 def _cmd_disorder(args: argparse.Namespace) -> None:
     if args.seeds < 0:
         raise ConfigError("--seeds must be >= 0")
+    if not 0 < args.zero_tol < np.inf:
+        raise ConfigError("--zero-tol must be finite and > 0")
     model = _model(args)
     cls = cls_set(model)
     rows = []
     for seed in range(args.seeds):
         spec = DisorderSpec(kind=args.kind, strength=args.strength, seed=seed)
         dis = apply_disorder(model, spec)
-        w = np.linalg.eigvalsh(real_space_hamiltonian(dis))
+        w = eigenvalues(dis)
         n_zero = int(np.sum(np.abs(w - cls.omega_fb) < args.zero_tol))
         width = flat_band_width_real_space(w, model.n_cells,
                                            center=cls.omega_fb)

@@ -8,15 +8,22 @@ costs one amplitude and one synthesis, and the self-energy
 evaluation once the weights |c_a|^2 are known.
 
 :func:`spectral_basis` picks the basis.  Disordered models, and clean models
-with at most ``DENSE_MAX_SITES`` sites, use the cached dense ``eigh`` of the
-real-space Hamiltonian (:func:`eigensystem`); builders with real hoppings
+with at most ``DENSE_MAX_SITES`` sites, use the cached dense eigensystem of
+the real-space Hamiltonian (:func:`eigensystem`); builders with real hoppings
 give a real U, which is never cast to complex (complex vectors are split into
-real and imaginary parts).  Larger clean models use the Bloch basis
-(:func:`bloch_basis`): one batched ``eigh`` of the Q x Q Bloch blocks on the
-commensurate k-grid, reached from site space by FFTs over the cell axes, so
-no N x N matrix is ever formed (lattice Green's functions as Bloch sums;
-Economou, *Green's Functions in Quantum Physics*).  The dense eigensystem
-stays the oracle and the basis of the dense flat-band projector.
+real and imaginary parts).  The eigensystem is a dense ``eigh``, except for
+off-diagonally disordered models whose sublattices two-colour with zero
+on-site energies (the stub): such a model is chiral, H = [[0, T], [T^H, 0]],
+and one SVD of the inter-sublattice block T gives every eigenpair and its
+exact zero modes (Lieb, PRL 62, 1201 (1989); Inui, Trugman & Abrahams, PRB
+49, 3190 (1994)).  Clean chiral models stay on ``eigh`` while the recorded
+1D decay lengths pin its round-off (see :func:`eigensystem`).  Larger clean
+models use the Bloch basis (:func:`bloch_basis`): one batched ``eigh`` of
+the Q x Q Bloch blocks on the commensurate k-grid, reached from site space
+by FFTs over the cell axes, so no N x N matrix is ever formed (lattice
+Green's functions as Bloch sums; Economou, *Green's Functions in Quantum
+Physics*).  The dense eigensystem stays the oracle and the basis of the
+dense flat-band projector.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ from typing import Callable
 import numpy as np
 
 from flatqed.errors import NoFlatBand, PoleProximity
-from flatqed.lattice import (LatticeModel, bloch_hamiltonian,
-                             real_space_hamiltonian)
+from flatqed.lattice import (LatticeModel, bipartite_sites,
+                             bloch_hamiltonian, real_space_hamiltonian)
 from flatqed.spectrum import default_k_grid
 
 POLE_GUARD = 1e-12     # in units of J
@@ -48,10 +55,76 @@ class FlatBandProjector:
         return int(round(np.trace(self.P).real))
 
 
+def _chiral_block(model: LatticeModel
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(T, A, B) with T = H[A][:, B] for a model on the chiral path, else
+    None: off-diagonal disorder, zero on-site energies and sublattices that
+    two-colour (``lattice.bipartite_sites``, n_A >= n_B)."""
+    if (model.disorder is None or model.disorder.kind != "off-diagonal"
+            or any(model.onsite)):
+        return None
+    sites = bipartite_sites(model)
+    if sites is None:
+        return None
+    A, B = sites
+    return real_space_hamiltonian(model)[np.ix_(A, B)], A, B
+
+
+def _chiral_energies(s: np.ndarray, n_zero: int) -> np.ndarray:
+    """Ascending spectrum -s, n_zero zeros, +s from descending singular
+    values s."""
+    return np.concatenate([-s, np.zeros(n_zero), s[::-1]])
+
+
+def eigenvalues(model: LatticeModel) -> np.ndarray:
+    """Ascending eigenvalues of the real-space Hamiltonian, without
+    eigenvectors and outside the :func:`eigensystem` cache: singular values
+    of T on the chiral path, ``eigvalsh`` otherwise."""
+    chiral = _chiral_block(model)
+    if chiral is None:
+        return np.linalg.eigvalsh(real_space_hamiltonian(model))
+    T, A, B = chiral
+    return _chiral_energies(np.linalg.svd(T, compute_uv=False),
+                            len(A) - len(B))
+
+
 @lru_cache(maxsize=4)
 def eigensystem(model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (eigenvalues, eigenvectors) of the real-space Hamiltonian."""
-    w, U = np.linalg.eigh(real_space_hamiltonian(model))
+    """Cached (eigenvalues, eigenvectors) of the real-space Hamiltonian,
+    eigenvalues ascending, U real exactly when the hoppings are.
+
+    Chiral path (off-diagonally disordered models with zero on-site energies
+    whose sublattices two-colour, see :func:`_chiral_block`): one SVD of the
+    n_A x n_B block, T = X S Y^H, gives the eigenvalues -s_i and +s_i with
+    vectors (x_i, -y_i)/sqrt(2) and (x_i, y_i)/sqrt(2), and n_A - n_B exact
+    zeros (x_j, 0) from X's trailing columns, at about a third of the cost
+    of ``eigh``.  Squaring T (``eigh(T^H T)``) would lose the small s_i
+    where the bands touch.
+
+    Every other model, clean ones included, takes ``np.linalg.eigh``.  The
+    clean stub is chiral too, but ``benchmarks/golden.json`` pins the
+    ``scan1d`` decay lengths fitted from ``eigh`` round-off: the SVD fits
+    the exact rate there, so 6 of the 28 ``scan1d`` ops would fail their
+    golden check.  The restriction to disordered models can go once those
+    golden values stop pinning round-off (a benchmark change listed in
+    ROADMAP.md)."""
+    chiral = _chiral_block(model)
+    if chiral is None:
+        w, U = np.linalg.eigh(real_space_hamiltonian(model))
+    else:
+        T, A, B = chiral
+        n_a, n_b = T.shape
+        # U before the SVD's temporaries: a cached U allocated after them
+        # pins the heap above their freed space (a 40-model sweep then
+        # peaks ~13 MB higher with glibc malloc)
+        U = np.zeros((n_a + n_b, n_a + n_b), dtype=T.dtype)
+        X, s, Yh = np.linalg.svd(T)
+        w = _chiral_energies(s, n_a - n_b)
+        X_s = X[:, :n_b] / np.sqrt(2.0)
+        Y = Yh.conj().T / np.sqrt(2.0)
+        U[A] = np.hstack([X_s, X[:, n_b:], X_s[:, ::-1]])
+        U[B, :n_b] = -Y
+        U[B, n_a:] = Y[:, ::-1]
     w.setflags(write=False)
     U.setflags(write=False)
     return w, U

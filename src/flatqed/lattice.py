@@ -352,6 +352,39 @@ def _is_real(model: LatticeModel) -> bool:
     return all(complex(amp).imag == 0.0 for *_ignore, amp in model.hoppings)
 
 
+def bipartite_sites(model: LatticeModel) -> tuple[np.ndarray, np.ndarray] | None:
+    """Site indices (A, B) of a two-colouring of the sublattices in which
+    every hopping joins the two colours, the larger colour first; ``None``
+    when the model has no hopping or no such colouring exists (an odd cycle
+    of sublattices, or a hopping within one sublattice).
+
+    Off-diagonal disorder keeps the colouring, so a model with zero on-site
+    energies stays chiral, H = [[0, T], [T^H, 0]] in (A, B) order, and has
+    at least n_A - n_B exact zero modes (Lieb, PRL 62, 1201 (1989))."""
+    if not model.hoppings:
+        return None
+    colour = [-1] * model.Q
+    for root in range(model.Q):
+        if colour[root] >= 0:
+            continue
+        colour[root] = 0
+        todo = [root]
+        while todo:
+            s = todo.pop()
+            for nu, nup, _off, _amp in model.hoppings:
+                if s not in (nu, nup):
+                    continue
+                other = nup if s == nu else nu
+                if colour[other] < 0:
+                    colour[other] = 1 - colour[s]
+                    todo.append(other)
+                elif colour[other] == colour[s]:
+                    return None
+    sites = np.tile(colour, model.n_cells)
+    A, B = np.flatnonzero(sites == 0), np.flatnonzero(sites == 1)
+    return (A, B) if len(A) >= len(B) else (B, A)
+
+
 def _disorder_draws(model: LatticeModel) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Deterministic disorder draws (diagonal per site, off-diagonal per bond)."""
     if model.disorder is None:

@@ -71,7 +71,8 @@ def test_byte_identical_reruns(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["diagonal", "off-diagonal"])
 def test_disorder_rows_need_no_eigenvectors(kind, capsys):
     """Counts and widths equal those from the dense eigensystem, and the
-    sweep leaves nothing in its cache."""
+    sweep leaves nothing in its cache.  Off-diagonal disorder keeps the
+    stub chiral: its N zero modes are exact, so the width is 0.0."""
     greens.eigensystem.cache_clear()
     code, out, _e = run(["disorder", "--model", "stub", "--N", "12",
                          "--kind", kind, "--strength", "0.5", "--seeds", "3"],
@@ -88,6 +89,8 @@ def test_disorder_rows_need_no_eigenvectors(kind, capsys):
         assert int(row["n_flat_modes"]) == int(np.sum(np.abs(w - omega_fb) < 1e-10))
         width = flat_band_width_real_space(w, clean.n_cells, center=omega_fb)
         assert abs(float(row["fb_width"]) - width) < 1e-12
+        if kind == "off-diagonal":
+            assert float(row["fb_width"]) == 0.0
 
 
 def test_interactions_output(capsys):
@@ -198,9 +201,13 @@ def test_numerical_failure_exit_3(capsys):
      "--tmax", "nan", "--nt", "5"],
     ["dynamics", "--model", "sawtooth", "--N", "20", "--site", "a:10",
      "--tmax", "inf", "--nt", "5"],
+    ["disorder", "--model", "stub", "--N", "8", "--kind", "off-diagonal",
+     "--strength", "0.5", "--seeds", "2", "--zero-tol", "nan"],
+    ["disorder", "--model", "stub", "--N", "8", "--kind", "off-diagonal",
+     "--strength", "0.5", "--seeds", "2", "--zero-tol", "inf"],
 ], ids=["strength-nan", "strength-inf", "Delta-nan", "Delta-inf", "t-nan",
         "omega_c-nan", "delta-nan", "g-nan", "alpha-nan", "tmax-nan",
-        "tmax-inf"])
+        "tmax-inf", "zero-tol-nan", "zero-tol-inf"])
 def test_nonfinite_parameter_exit_2(argv, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -214,7 +221,12 @@ def test_nonfinite_parameter_exit_2(argv, capsys):
     ["xi", "--alpha", "0.2", "--max-dist", "-1"],
     ["loclen", "--model", "sawtooth", "--N", "20", "--delta", "0.01",
      "--site", "a:3", "--axis", "1"],
-], ids=["max-dist-negative", "axis-beyond-dim"])
+    ["disorder", "--model", "stub", "--N", "8", "--kind", "off-diagonal",
+     "--strength", "0.5", "--seeds", "2", "--zero-tol", "-1"],
+    ["disorder", "--model", "stub", "--N", "8", "--kind", "off-diagonal",
+     "--strength", "0.5", "--seeds", "2", "--zero-tol", "0"],
+], ids=["max-dist-negative", "axis-beyond-dim", "zero-tol-negative",
+        "zero-tol-zero"])
 def test_out_of_range_argument_exit_2(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from hypothesis import strategies as st
 from flatqed.boundstate import EmitterSpec, solve_pole
 from flatqed.interactions import interaction_matrix
 from flatqed.errors import NoFlatBand, PoleProximity
-from flatqed.greens import (POLE_GUARD, eigensystem, fb_projector,
-                            fb_weights, resolvent_form, resolvent_vector,
-                            self_energy)
+from flatqed.greens import (POLE_GUARD, eigensystem, eigenvalues,
+                            fb_projector, fb_weights, resolvent_form,
+                            resolvent_vector, self_energy)
 from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
-                             build_chain, build_sawtooth, build_stub,
-                             real_space_hamiltonian)
+                             build_chain, build_kagome1d, build_sawtooth,
+                             build_stub, real_space_hamiltonian)
 
 # Sawtooth with Peierls phases on two of its bonds: complex hoppings give a
 # complex eigenvector matrix, so the complex-U branch of the seam runs.
@@ -25,12 +26,34 @@ FLUX_SAWTOOTH = LatticeModel(
      (0, 1, (-1,), math.sqrt(2.0) * cmath.exp(-0.7j))),
     1.0)
 
+# A stub with complex hoppings and off-diagonal disorder, its minority
+# sublattice listed first: the chiral path with a complex block T and the
+# colours swapped.
+FLUX_STUB = LatticeModel(
+    "flux-stub", 1, (5,), ("b", "a", "c"), (0.0, 0.0, 0.0),
+    ((0, 1, (0,), 2.0 * cmath.exp(0.3j)),
+     (0, 2, (0,), 1.0),
+     (2, 0, (1,), cmath.exp(-0.9j))),
+    1.0, disorder=DisorderSpec("off-diagonal", 0.4, seed=3))
+
+# 2D Lieb lattice (corner c, edge sites x and y) with off-diagonal
+# disorder: the chiral path in 2D, {x, y} against {c}.
+LIEB_2D = LatticeModel(
+    "lieb", 2, (4, 3), ("c", "x", "y"), (0.0, 0.0, 0.0),
+    ((0, 1, (0, 0), 1.0), (1, 0, (1, 0), 1.0),
+     (0, 2, (0, 0), 1.0), (2, 0, (0, 1), 1.0)),
+    1.0, disorder=DisorderSpec("off-diagonal", 0.4, seed=5))
+
 SEAM_MODELS = [
     build_sawtooth(6),
     build_stub(5, Delta=2.0),
     apply_disorder(build_stub(5), DisorderSpec("diagonal", 0.3, seed=1)),
     apply_disorder(build_sawtooth(6), DisorderSpec("off-diagonal", 0.3, seed=2)),
+    apply_disorder(build_stub(5, Delta=1.0),
+                   DisorderSpec("off-diagonal", 0.5, seed=4)),
+    LIEB_2D,
     FLUX_SAWTOOTH,
+    FLUX_STUB,
 ]
 seam_model = st.sampled_from(SEAM_MODELS)
 
@@ -137,8 +160,77 @@ def test_eigensystem_cached_and_readonly():
 
 
 def test_flux_model_takes_complex_branch():
-    assert np.iscomplexobj(eigensystem(FLUX_SAWTOOTH)[1])
-    assert all(not np.iscomplexobj(eigensystem(m)[1]) for m in SEAM_MODELS[:-1])
+    for model in SEAM_MODELS:
+        assert (np.iscomplexobj(eigensystem(model)[1])
+                == (model in (FLUX_SAWTOOTH, FLUX_STUB)))
+
+
+def test_chiral_path_selection(monkeypatch):
+    """Only an off-diagonally disordered model whose sublattices two-colour
+    (the stub) and whose on-site energies vanish leaves ``np.linalg.eigh``:
+    clean models, diagonal disorder, odd sublattice cycles and an on-site
+    energy keep it."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda H: calls.append(H.shape) or eigh(H))
+    off = DisorderSpec("off-diagonal", 0.5, seed=1)
+    eigh_models = [
+        build_stub(8),
+        apply_disorder(build_stub(8), DisorderSpec("diagonal", 0.1, seed=1)),
+        apply_disorder(build_sawtooth(8), off),
+        apply_disorder(build_kagome1d(8), off),
+        apply_disorder(replace(build_stub(8), onsite=(0.5, 0.0, 0.0)), off),
+    ]
+    eigensystem.cache_clear()
+    for model in eigh_models:
+        calls.clear()
+        eigensystem(model)
+        assert calls == [(model.n_sites, model.n_sites)], model.name
+    for model in (apply_disorder(build_stub(8), off), LIEB_2D, FLUX_STUB):
+        calls.clear()
+        eigensystem(model)
+        assert calls == [], model.name
+
+
+def _cluster_slices(w: np.ndarray, tol: float):
+    """(slice, gap) per cluster of sorted eigenvalues closer than tol; gap
+    is the distance to the neighbouring clusters (inf at both ends)."""
+    edges = [0, *(np.flatnonzero(np.diff(w) > tol) + 1), len(w)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        left = w[lo] - w[lo - 1] if lo > 0 else np.inf
+        right = w[hi] - w[hi - 1] if hi < len(w) else np.inf
+        yield slice(lo, hi), min(left, right)
+
+
+@given(N=st.integers(4, 10), Delta=st.floats(0.0, 6.0),
+       strength=st.floats(0.0, 2.0, exclude_min=True),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_chiral_eigensystem_matches_eigh(N, Delta, strength, seed):
+    """One SVD of the inter-sublattice block reproduces the dense ``eigh``
+    of an off-diagonally disordered stub: ascending eigenvalues, residual,
+    orthonormality, a real U, at least N exact zero modes, the projector
+    onto every degenerate cluster, and the same spectrum from
+    :func:`eigenvalues` (Delta = 0 leaves the a sites unconnected, so T
+    has zero rows)."""
+    model = apply_disorder(build_stub(N, Delta=Delta),
+                           DisorderSpec("off-diagonal", strength, seed))
+    H = real_space_hamiltonian(model)
+    w_ref, V = np.linalg.eigh(H)
+    w, U = eigensystem(model)
+    scale = np.linalg.norm(H, 2)
+    assert U.dtype == float
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
+    assert np.max(np.abs(eigenvalues(model) - w_ref)) <= 1e-12 * scale
+    assert np.max(np.abs(H @ U - U * w)) <= 1e-12 * scale
+    assert np.max(np.abs(U.T @ U - np.eye(model.n_sites))) < 1e-12
+    assert np.count_nonzero(w == 0) >= N
+    for cluster, gap in _cluster_slices(w_ref, 1e-9 * scale):
+        P = U[:, cluster] @ U[:, cluster].T
+        P_ref = V[:, cluster] @ V[:, cluster].T
+        assert np.max(np.abs(P - P_ref)) <= 1e-11 * scale / gap
 
 
 @given(model=seam_model, omega=st.floats(-5.0, 5.0), seed=st.integers(0, 2**32 - 1),

@@ -14,8 +14,9 @@ from flatqed.flatband import (bs_cls_weights, projector_cls_expansion,
 from flatqed.giant import cls_emitter
 from flatqed.lattice import (ClsSet, DisorderSpec, LatticeModel,
                              _disorder_draws, _is_real, apply_disorder,
-                             bloch_hamiltonian, build_chain, build_checkerboard,
-                             build_double_comb, build_kagome1d,
+                             bipartite_sites, bloch_hamiltonian, build_chain,
+                             build_checkerboard, build_double_comb,
+                             build_kagome1d,
                              build_sawtooth, build_stub, model_from_spec,
                              real_space_hamiltonian, site_index)
 
@@ -348,6 +349,36 @@ def test_offdiagonal_disorder_preserves_diagonal():
     H = real_space_hamiltonian(dis)
     assert np.array_equal(np.diag(H), np.diag(H0))
     assert np.max(np.abs(H - H.conj().T)) == 0.0
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_bipartite_sites_split_every_hopping(model):
+    """Only the stub two-colours: {a, c} against {b}, the larger colour
+    first, and every hopping of the (disordered) Hamiltonian joins the two
+    colours.  Each other builder has a hopping within one sublattice or an
+    odd cycle of sublattices."""
+    sites = bipartite_sites(model)
+    if model.name != "stub":
+        assert sites is None
+        return
+    A, B = sites
+    assert np.array_equal(A, np.flatnonzero(np.arange(model.n_sites) % 3 != 1))
+    assert np.array_equal(B, np.arange(1, model.n_sites, 3))
+    H = real_space_hamiltonian(
+        apply_disorder(model, DisorderSpec("off-diagonal", 0.5, seed=2)))
+    assert not H[np.ix_(A, A)].any() and not H[np.ix_(B, B)].any()
+
+
+def test_bipartite_sites_put_the_larger_colour_first():
+    """A stub whose sublattices are listed minority first (b, a, c)."""
+    model = LatticeModel("stub-bac", 1, (4,), ("b", "a", "c"), (0.0,) * 3,
+                         ((0, 1, (0,), 2.0), (0, 2, (0,), 1.0),
+                          (2, 0, (1,), 1.0)), 1.0)
+    A, B = bipartite_sites(model)
+    assert np.array_equal(B, np.arange(0, 12, 3))
+    assert len(A) == 8
+    single = LatticeModel("cavity", 1, (1,), ("a",), (0.0,), (), 1.0)
+    assert bipartite_sites(single) is None
 
 
 def test_double_disorder_rejected():
