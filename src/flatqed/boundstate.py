@@ -68,8 +68,8 @@ def omega0_for_detuning(model: LatticeModel, delta: float,
     ``reference='fb'`` offsets from the flat-band energy toward the gap side
     (which side depends on the lattice); ``reference='lower_edge'`` places
     omega0 a distance delta below the bottom of the spectrum."""
-    if delta <= 0:
-        raise ValueError("detuning must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("detuning must be finite and positive")
     w = spectral_basis(model).w
     if reference == "lower_edge":
         return float(w.min()) - delta
@@ -160,7 +160,8 @@ def solve_pole(model: LatticeModel, emitter: EmitterSpec) -> float:
 
     def F(omega: float) -> tuple[float, float]:
         s, ds = sigma(omega)
-        return omega - omega0 - g2 * s, 1.0 - g2 * ds
+        return (omega - omega0 - g2 * float(s[0, 0].real),
+                1.0 - g2 * float(ds[0, 0].real))
 
     s = max(model.J, emitter.gbar)
     a = float(below.max()) + 10 * guard if below.size else omega0 - s
@@ -173,7 +174,8 @@ def pole_residual(model: LatticeModel, emitter: EmitterSpec,
                   omega_bs: float) -> float:
     """|omega_BS - omega0 - gbar^2 <chi|G_B(omega_BS)|chi>|."""
     sigma, _ = self_energy(model, emitter.chi(model.n_sites))(omega_bs)
-    return abs(omega_bs - emitter.omega0 - emitter.gbar ** 2 * sigma)
+    return abs(omega_bs - emitter.omega0
+               - emitter.gbar ** 2 * float(sigma[0, 0].real))
 
 
 def bs_wavefunction(model: LatticeModel, emitter: EmitterSpec,

@@ -245,14 +245,14 @@ def _cmd_dynamics(args: argparse.Namespace) -> None:
     em = _emitter(model, args, args.site, omega0)
     t_grid = np.linspace(0.0, args.tmax, args.nt)
     ts = evolve(model, [em], 0, t_grid)
+    # the report can fail (exit 2), so it is formed before any row is written
+    report = (f"rabi_predicted={_fmt(rabi_frequency(model, em))} "
+              f"rabi_fitted={_fmt(fit_rabi_frequency(ts))}\n"
+              if args.report_rabi else "")
     rows = [{"t": float(t), "population": float(p)}
             for t, p in zip(ts.t_grid, ts.atom_populations[:, 0])]
     _write_rows(rows, ["t", "population"], args.out, args.format)
-    if args.report_rabi:
-        omega_pred = rabi_frequency(model, em)
-        omega_fit = fit_rabi_frequency(ts)
-        sys.stderr.write(
-            f"rabi_predicted={_fmt(omega_pred)} rabi_fitted={_fmt(omega_fit)}\n")
+    sys.stderr.write(report)
 
 
 def _cmd_disorder(args: argparse.Namespace) -> None:

@@ -171,7 +171,7 @@ def xi_2d_axis(alpha: float, d: int) -> float:
     |xi(d+1)/xi(d)| -> exp(-1/lambda_2d) (the slower branch point).  With
     t = mid + half cos(theta) the integrand is analytic in cos(theta), so the
     midpoint rule in theta converges exponentially: one O(n) sum per call."""
-    a = float(alpha)
+    a, = _alphas(alpha)
     if a == 0.0:
         raise ValueError("alpha = 0: xi is a Kronecker delta; no 2D law")
     if not abs(a) < 0.25:

@@ -24,9 +24,11 @@ ENVELOPE_CUTOFF = 1e-12
 FB_MEMBERSHIP_TOL = 1e-8
 
 
-def _emitter_from_vector(omega0: float, g: float,
-                         vec: np.ndarray) -> EmitterSpec:
-    """Couplings g_l = g * vec_l / ||vec|| on the support of vec."""
+def _emitter_from_weights(model: LatticeModel, omega0: float, g: float,
+                          w: np.ndarray) -> EmitterSpec:
+    """Couplings g_l = g * vec_l / ||vec|| on the support of the CLS field
+    vec = sum_n w_n |phi_n> of the weights w over the cells."""
+    vec = reconstruct_from_weights(cls_set(model), model, w)
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("CLS superposition vanishes")
@@ -40,8 +42,7 @@ def cls_emitter(model: LatticeModel, omega0: float, g: float,
                 cell: Sequence[int] | int) -> EmitterSpec:
     """Giant atom whose site state is exactly the CLS of one cell."""
     w = np.eye(1, model.n_cells, model.cell_index(cell))
-    return _emitter_from_vector(
-        omega0, g, reconstruct_from_weights(cls_set(model), model, w))
+    return _emitter_from_weights(model, omega0, g, w)
 
 
 def cls_superposition_emitter(model: LatticeModel, omega0: float, g: float,
@@ -54,10 +55,11 @@ def cls_superposition_emitter(model: LatticeModel, omega0: float, g: float,
     actual vector norm, not sum |c_n|^2."""
     if len(cells) != len(coeffs):
         raise ValueError("cells and coeffs must have equal length")
+    if not np.isfinite(coeffs).all():
+        raise ValueError("CLS coefficients must be finite")
     w = np.zeros(model.n_cells, dtype=complex)
     np.add.at(w, [model.cell_index(cell) for cell in cells], coeffs)
-    return _emitter_from_vector(
-        omega0, g, reconstruct_from_weights(cls_set(model), model, w))
+    return _emitter_from_weights(model, omega0, g, w)
 
 
 def envelope_emitter(model: LatticeModel, omega0: float, g: float,
@@ -67,8 +69,8 @@ def envelope_emitter(model: LatticeModel, omega0: float, g: float,
     r_n is the distance from n to the center around the periodic lattice
     (the shorter way along each axis), so every cell carries exactly one
     coefficient; coefficients below 1e-12 are dropped."""
-    if ell <= 0:
-        raise ValueError("envelope length ell must be positive")
+    if not 0 < ell < math.inf:
+        raise ValueError("envelope length ell must be finite and positive")
     center = np.atleast_1d(center)
     if len(center) != model.dim:
         raise ValueError("center dimension mismatch")
@@ -78,8 +80,7 @@ def envelope_emitter(model: LatticeModel, omega0: float, g: float,
     # math.exp, not np.exp: the two differ in the last bit
     c = np.array([math.exp(-math.hypot(*r) / ell) for r in d.tolist()])
     w = np.where(c < ENVELOPE_CUTOFF, 0.0, c).astype(complex)
-    return _emitter_from_vector(
-        omega0, g, reconstruct_from_weights(cls_set(model), model, w))
+    return _emitter_from_weights(model, omega0, g, w)
 
 
 def fb_membership_defect(model: LatticeModel,

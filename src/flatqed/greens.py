@@ -3,9 +3,11 @@
 Every consumer reaches the bath through one seam: a spectral basis of the
 model's Hamiltonian, H = U diag(w) U^H, with the maps chi -> c = U^H chi
 (amplitudes) and c -> U c (synthesis).  G_B(omega)|chi> = U (c / (omega - w))
-costs one amplitude and one synthesis, and the self-energy
-<chi|G_B(omega)|chi> = sum_a |c_a|^2 / (omega - w_a) costs O(N) per
-evaluation once the weights |c_a|^2 are known.
+costs one amplitude and one synthesis.  The self-energy of n site states,
+Sigma_ij(omega_j) = <chi_i|G_B(omega_j)|chi_j> = sum_a conj(C_ai) C_aj /
+(omega_j - w_a), and its omega-derivative come from one amplitude matrix
+C = U^H [chi_1 ... chi_n] at O(N n^2) per evaluation (:func:`self_energy`);
+the pole solver reads its n = 1 case and the interaction matrix the rest.
 
 :func:`spectral_basis` picks the basis.  Disordered models, and clean models
 with at most ``DENSE_MAX_SITES`` sites, use the cached dense eigensystem of
@@ -130,9 +132,10 @@ def eigensystem(model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
     return w, U
 
 
-def _check_pole(model: LatticeModel, omega: float, w: np.ndarray) -> None:
+def _check_pole(model: LatticeModel, omega, denom: np.ndarray) -> None:
+    """PoleProximity if any denominator omega - w_a is within the guard."""
     guard = POLE_GUARD * model.J
-    if np.min(np.abs(omega - w)) < guard:
+    if np.min(np.abs(denom)) < guard:
         raise PoleProximity(
             f"omega = {omega} within {guard} of a bath eigenvalue")
 
@@ -239,44 +242,35 @@ def resolvent_vector(model: LatticeModel, omega: float,
                      chi: np.ndarray) -> np.ndarray:
     """G_B(omega) |chi> for an arbitrary site-space vector |chi>."""
     basis = spectral_basis(model)
-    _check_pole(model, omega, basis.w)
-    return basis.synthesize(basis.amplitudes(chi) / (omega - basis.w))
+    denom = omega - basis.w
+    _check_pole(model, omega, denom)
+    return basis.synthesize(basis.amplitudes(chi) / denom)
 
 
-def self_energy(model: LatticeModel,
-                chi: np.ndarray) -> Callable[[float], tuple[float, float]]:
-    """omega -> (Sigma, Sigma'): Sigma = <chi| G_B(omega) |chi> =
-    sum_a |c_a|^2 / (omega - w_a), Sigma' = -sum_a |c_a|^2 / (omega - w_a)^2.
+def self_energy(model: LatticeModel, chis: np.ndarray
+                ) -> Callable[[float | np.ndarray],
+                              tuple[np.ndarray, np.ndarray]]:
+    """omega -> (Sigma, Sigma') as n x n arrays for a site vector chi or the
+    columns chi_j of a matrix, at one omega or one omega_j per column:
 
-    The spectral weights |c_a|^2 are computed once; each evaluation of the
-    returned function is an O(N) sum and still enforces the pole guard."""
+        Sigma_ij  = <chi_i| G_B(omega_j) |chi_j>
+                  =  sum_a conj(C_ai) C_aj / (omega_j - w_a),
+        Sigma'_ij = -(G_B(omega_j) chi_i)^H (G_B(omega_j) chi_j).
+
+    The amplitude matrix C = U^H [chi_1 ... chi_n] is computed once; each
+    evaluation costs O(N n^2) and enforces the pole guard on every omega_j."""
     basis = spectral_basis(model)
-    w = basis.w
-    weights = np.abs(basis.amplitudes(chi)) ** 2
+    w = basis.w[:, None]
+    C = basis.amplitudes(chis).reshape(w.size, -1)
+    C_h = C.conj().T
 
-    def sigma(omega: float) -> tuple[float, float]:
-        _check_pole(model, omega, w)
-        denom = omega - w
-        terms = weights / denom
-        return float(np.sum(terms)), -float(np.sum(terms / denom))
+    def sigma(omega: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        denom = np.asarray(omega, dtype=float) - w
+        _check_pole(model, omega, denom)
+        terms = C / denom
+        return C_h @ terms, -(C_h @ (terms / denom))
 
     return sigma
-
-
-def resolvent_form(model: LatticeModel, omegas: np.ndarray,
-                   chis: np.ndarray) -> np.ndarray:
-    """M_ij = <chi_i| G_B(omega_j) |chi_j> for the columns chi_j of ``chis``.
-
-    One amplitude matrix C = U^H [chi_1 ... chi_n] serves every entry:
-    M_ij = sum_a conj(C_ai) C_aj / (omega_j - w_a).  Each omega_j is checked
-    against the pole guard."""
-    basis = spectral_basis(model)
-    w = basis.w
-    omegas = np.asarray(omegas, dtype=float)
-    for omega in omegas:
-        _check_pole(model, float(omega), w)
-    C = basis.amplitudes(chis)
-    return C.conj().T @ (C / (omegas[None, :] - w[:, None]))
 
 
 def _fb_mask(model: LatticeModel, w: np.ndarray, omega_fb: float) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from flatqed.boundstate import EmitterSpec, solve_pole
 from flatqed.dynamics import _initial_state, propagate
-from flatqed.greens import resolvent_form
+from flatqed.greens import self_energy
 from flatqed.lattice import LatticeModel
 
 
@@ -77,7 +77,7 @@ def interaction_matrix(model: LatticeModel, emitters: Sequence[EmitterSpec],
     chis = np.column_stack([em.chi(model.n_sites) for em in emitters])
     omegas = [solve_pole(model, em) if exact_pole else omega0
               for em in emitters]
-    K = gbar ** 2 * resolvent_form(model, omegas, chis)
+    K = gbar ** 2 * self_energy(model, chis)(omegas)[0]
     return InteractionMatrix(emitters=emitters, K=K.astype(complex))
 
 

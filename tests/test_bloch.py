@@ -27,8 +27,8 @@ from flatqed.dynamics import rabi_frequency
 from flatqed.errors import PoleProximity
 from flatqed.giant import cls_emitter
 from flatqed.greens import (POLE_GUARD, bloch_basis, eigensystem,
-                            fb_projector, fb_weights, resolvent_form,
-                            resolvent_vector, self_energy, spectral_basis)
+                            fb_projector, fb_weights, resolvent_vector,
+                            self_energy, spectral_basis)
 from flatqed.interactions import interaction_matrix
 from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
                              bloch_hamiltonian, build_chain,
@@ -130,26 +130,35 @@ def test_resolvent_and_self_energy_match_solve(model, omega, kind, seed):
         sigma, dsigma = self_energy(model, chi)(omega)
     assert g.dtype == complex
     assert np.max(np.abs(g - exact)) < 1e-10 * scale
-    assert sigma == pytest.approx(np.vdot(chi, exact).real, abs=1e-10 * scale)
-    assert dsigma == pytest.approx(-np.vdot(exact, exact).real,
-                                   abs=1e-10 * scale ** 2)
+    assert sigma[0, 0] == pytest.approx(np.vdot(chi, exact).real,
+                                        abs=1e-10 * scale)
+    assert dsigma[0, 0] == pytest.approx(-np.vdot(exact, exact).real,
+                                         abs=1e-10 * scale ** 2)
 
 
 @given(model=bloch_model, seed=st.integers(0, 2**32 - 1),
-       shift=st.floats(0.01, 2.0))
+       shift=st.floats(0.01, 2.0), per_column=st.booleans())
 @settings(max_examples=30, deadline=None)
-def test_resolvent_form_matches_solve(model, seed, shift):
-    """A matrix of columns (one site, a CLS giant, a complex vector) and one
-    omega per column: M_ij = <chi_i| (omega_j - H)^{-1} |chi_j>."""
+def test_resolvent_form_matches_solve(model, seed, shift, per_column):
+    """The self-energy of a matrix of columns (one site, a CLS giant, a
+    complex vector) at one omega or one omega_j per column:
+    Sigma_ij = <chi_i| (omega_j - H)^{-1} |chi_j> and
+    Sigma'_ij = -(G(omega_j) chi_i)^H (G(omega_j) chi_j), every entry."""
     chis = np.column_stack([_chi(model, kind, seed + i).astype(complex)
                             for i, kind in enumerate(("site", "cls", "complex"))])
     w_min = float(eigensystem(model)[0][0])
-    omegas = w_min - shift * np.array([1.0, 0.5, 2.0])
+    shifts = [1.0, 0.5, 2.0] if per_column else [1.0] * 3
+    omegas = w_min - shift * np.array(shifts)
     with bloch_path():
-        M = resolvent_form(model, omegas, chis)
+        M, dM = self_energy(model, chis)(omegas if per_column else omegas[0])
+    assert M.shape == dM.shape == (3, 3)
     for j, omega in enumerate(omegas):
-        col = chis.conj().T @ _solve(model, omega, chis[:, j])
+        G = _solve(model, omega, chis)           # G(omega_j) chi_i, columns i
+        col = chis.conj().T @ G[:, j]
         assert np.max(np.abs(M[:, j] - col)) < 1e-10 * np.max(np.abs(col))
+        scale = np.max(np.linalg.norm(G, axis=0))
+        assert np.max(np.abs(dM[:, j] + G.conj().T @ G[:, j])) \
+            < 1e-10 * scale ** 2
 
 
 @given(model=bloch_model, seed=st.integers(0, 2**32 - 1),
@@ -198,11 +207,11 @@ def test_pole_guard_on_bloch_path(model, index, frac):
         with pytest.raises(PoleProximity):
             sigma(omega)
         with pytest.raises(PoleProximity):
-            resolvent_form(model, [omega], chi[:, None])
+            self_energy(model, chi[:, None])([omega])
 
 
 def test_clean_model_above_threshold_never_calls_eigensystem():
-    model = build_sawtooth(greens.DENSE_MAX_SITES // 2 + 1)
+    model = build_sawtooth(max(4, greens.DENSE_MAX_SITES // 2 + 1))
     assert model.n_sites > greens.DENSE_MAX_SITES
     before = eigensystem.cache_info()
     em = small_atom(model, omega0_for_detuning(model, 1e-2), 1e-3, 7, "a")
@@ -238,7 +247,7 @@ def test_fb_project_of_identity_is_the_projector(model, bloch):
 def test_rabi_frequency_above_threshold_skips_dense_eigh():
     """Above DENSE_MAX_SITES the flat-band weights take the Bloch basis:
     no eigensystem call, and they equal those of the dense V V^T chi."""
-    model = build_sawtooth(greens.DENSE_MAX_SITES // 2 + 1)
+    model = build_sawtooth(max(4, greens.DENSE_MAX_SITES // 2 + 1))
     em = small_atom(model, -2.0, 1e-3, 7, "a")
     chi = em.chi(model.n_sites).real
     w, U = np.linalg.eigh(real_space_hamiltonian(model))
@@ -255,7 +264,8 @@ def test_rabi_frequency_above_threshold_skips_dense_eigh():
 
 
 def test_disordered_model_above_threshold_takes_dense_path():
-    model = apply_disorder(build_stub(greens.DENSE_MAX_SITES // 3 + 1),
+    n_cells = max(4, greens.DENSE_MAX_SITES // 3 + 1)
+    model = apply_disorder(build_stub(n_cells),
                            DisorderSpec("diagonal", 0.1, seed=4))
     assert model.n_sites > greens.DENSE_MAX_SITES
     misses = eigensystem.cache_info().misses

@@ -181,3 +181,10 @@ def test_emitter_validation():
     em = EmitterSpec(omega0=0.0, couplings=((99, 1.0),))
     with pytest.raises(ValueError):
         em.chi(10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_nonfinite_detuning_is_rejected(delta):
+    with pytest.raises(ValueError, match="must be finite"):
+        omega0_for_detuning(build_sawtooth(12), delta)

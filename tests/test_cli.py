@@ -150,12 +150,23 @@ def test_report_rabi_without_flat_band_exit_2(capsys):
 def test_report_rabi_without_oscillation_exit_2(capsys):
     """A stub b-site has no flat-band weight: its population never falls
     more than ~5e-7 below 1, and that wiggle is no Rabi half-period."""
-    code, _o, err = run(["dynamics", "--model", "stub", "--N", "30",
-                         "--site", "b:10", "--tmax", "500", "--nt", "50",
-                         "--report-rabi"], capsys)
+    code, out, err = run(["dynamics", "--model", "stub", "--N", "30",
+                          "--site", "b:10", "--tmax", "500", "--nt", "50",
+                          "--report-rabi"], capsys)
     assert code == 2
+    assert out == ""           # the failing report leaves no partial table
     assert "no population minimum" in err
     assert "rabi_fitted" not in err
+
+
+def test_report_rabi_failure_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    code, _o, err = run(["dynamics", "--model", "stub", "--N", "30",
+                         "--site", "b:10", "--tmax", "500", "--nt", "50",
+                         "--report-rabi", "--out", str(out)], capsys)
+    assert code == 2
+    assert "no population minimum" in err
+    assert not out.exists()
 
 
 def test_config_error_exit_2(capsys):

@@ -326,6 +326,14 @@ def test_xi_2d_axis_rejects_touching():
         xi_2d_axis(0.0, 3)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_xi_2d_axis_rejects_nonfinite_alpha(alpha):
+    """A ValueError, as xi_numeric raises, not the numerical SingularF."""
+    with pytest.raises(ValueError, match="must be finite"):
+        xi_2d_axis(alpha, 3)
+
+
 def _block_circulant_gather(K):
     """M[(n, s), (n', s')] = K[n - n'][s, s'] gathered through a cells x cells
     table of wrapped offsets."""

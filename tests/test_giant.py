@@ -213,3 +213,19 @@ def test_giant_interaction_validates():
     e3 = cls_emitter(model, -1.9, 3e-3, 6)
     with pytest.raises(ValueError, match="identical"):
         giant_interaction(model, [e1, e3])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("build", [
+    lambda m: envelope_emitter(m, -1.9, 1e-3, 10, ell=math.nan),
+    lambda m: envelope_emitter(m, -1.9, 1e-3, 10, ell=math.inf),
+    lambda m: cls_superposition_emitter(m, -1.9, 1e-3, [3, 4], [1.0, math.nan]),
+    lambda m: cls_superposition_emitter(m, -1.9, 1e-3, [3, 4],
+                                        [complex(0.0, math.inf), 1.0]),
+], ids=["ell-nan", "ell-inf", "coeff-nan", "coeff-inf"])
+def test_nonfinite_giant_parameters_are_rejected(build):
+    """A non-finite envelope length or CLS coefficient is a ValueError before
+    any arithmetic: no RuntimeWarning, and not the misleading "emitter needs
+    at least one coupling"."""
+    with pytest.raises(ValueError, match="must be finite"):
+        build(build_sawtooth(20))

@@ -8,11 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flatqed.boundstate import EmitterSpec, solve_pole
+from flatqed.giant import cls_emitter
 from flatqed.interactions import interaction_matrix
 from flatqed.errors import NoFlatBand, PoleProximity
 from flatqed.greens import (POLE_GUARD, eigensystem, eigenvalues,
-                            fb_projector, fb_weights, resolvent_form,
-                            resolvent_vector, self_energy)
+                            fb_projector, fb_weights, resolvent_vector,
+                            self_energy)
 from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
                              build_chain, build_kagome1d, build_sawtooth,
                              build_stub, real_space_hamiltonian)
@@ -246,9 +247,40 @@ def test_resolvent_and_self_energy_match_solve(model, omega, seed, real):
     assert g.dtype == complex
     assert np.max(np.abs(g - exact)) < 1e-10 * scale
     sigma, dsigma = self_energy(model, chi)(omega)
-    assert sigma == pytest.approx(np.vdot(chi, exact).real, abs=1e-10 * scale)
-    assert dsigma == pytest.approx(-np.vdot(exact, exact).real,
-                                   abs=1e-10 * scale ** 2)
+    assert sigma.shape == dsigma.shape == (1, 1)
+    assert sigma[0, 0] == pytest.approx(np.vdot(chi, exact).real,
+                                        abs=1e-10 * scale)
+    assert dsigma[0, 0] == pytest.approx(-np.vdot(exact, exact).real,
+                                         abs=1e-10 * scale ** 2)
+
+
+@given(model=seam_model, seed=st.integers(0, 2**32 - 1),
+       omegas=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+       per_column=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_self_energy_matrix_matches_solve(model, seed, omegas, per_column):
+    """Columns chi_j (one site, a CLS giant, a complex vector) at one omega
+    or one omega_j per column: Sigma_ij = <chi_i| (omega_j - H)^{-1} |chi_j>
+    and Sigma'_ij = -(G(omega_j) chi_i)^H (G(omega_j) chi_j), every entry."""
+    w, _U = eigensystem(model)
+    omegas = np.array(omegas if per_column else omegas[:1] * 3)
+    assume(np.min(np.abs(omegas[:, None] - w)) > 1e-3)
+    rng = np.random.default_rng(seed)
+    site = np.eye(model.n_sites)[int(rng.integers(model.n_sites))]
+    cell = tuple(int(rng.integers(n)) for n in model.shape)
+    giant = (cls_emitter(model, 0.0, 1.0, cell).chi(model.n_sites)
+             if model.cls is not None else _site_vector(model, seed + 1, False))
+    chis = np.column_stack([site, giant, _site_vector(model, seed, False)])
+    sigma, dsigma = self_energy(model, chis)(omegas if per_column
+                                             else omegas[0])
+    assert sigma.shape == dsigma.shape == (3, 3)
+    for j, omega in enumerate(omegas):
+        G = _solve(model, omega, chis)           # G(omega_j) chi_i, columns i
+        scale = np.max(np.linalg.norm(G, axis=0))
+        assert np.max(np.abs(sigma[:, j] - chis.conj().T @ G[:, j])) \
+            < 1e-10 * scale
+        assert np.max(np.abs(dsigma[:, j] + G.conj().T @ G[:, j])) \
+            < 1e-10 * scale ** 2
 
 
 @given(model=seam_model, seed=st.integers(0, 2**32 - 1),
@@ -308,8 +340,9 @@ def test_fb_project_missing_band():
 @given(model=seam_model, index=st.integers(0, 11), frac=st.floats(-0.99, 0.99))
 @settings(max_examples=30, deadline=None)
 def test_pole_guard_on_every_path(model, index, frac):
-    """Inside POLE_GUARD of an eigenvalue the resolvent, the resolvent form
-    and every evaluation of the self-energy closure raise PoleProximity."""
+    """Inside POLE_GUARD of an eigenvalue the resolvent and every evaluation
+    of the self-energy closure, of one vector or of a matrix of columns,
+    raise PoleProximity."""
     w, _U = eigensystem(model)
     omega = float(w[index]) + frac * POLE_GUARD * model.J
     chi = _site_vector(model, index, True)
@@ -319,4 +352,4 @@ def test_pole_guard_on_every_path(model, index, frac):
     with pytest.raises(PoleProximity):
         sigma(omega)
     with pytest.raises(PoleProximity):
-        resolvent_form(model, [omega], chi[:, None])
+        self_energy(model, chi[:, None])([omega])

@@ -171,7 +171,7 @@ def test_derivative_gives_the_photon_weight(name):
     em = small_atom(model, omega0, 0.3, 10, 0)
     root = solve_pole(model, em)
     _sigma, dsigma = self_energy(model, em.chi(model.n_sites))(root)
-    dF = 1.0 - em.gbar ** 2 * dsigma
+    dF = 1.0 - em.gbar ** 2 * dsigma[0, 0]
     res = bs_wavefunction(model, em, root)
     assert abs((dF - 1.0) / dF - (1.0 - res.c_e ** 2)) < 1e-12
 
