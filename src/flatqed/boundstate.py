@@ -70,11 +70,11 @@ def omega0_for_detuning(model: LatticeModel, delta: float,
     omega0 a distance delta below the bottom of the spectrum."""
     if not 0 < delta < math.inf:
         raise ValueError("detuning must be finite and positive")
+    if reference not in ("fb", "lower_edge"):
+        raise ValueError(f"unknown detuning reference {reference!r}")
     w = spectral_basis(model).w
     if reference == "lower_edge":
         return float(w.min()) - delta
-    if reference != "fb":
-        raise ValueError(f"unknown detuning reference {reference!r}")
     cls = cls_set(model)
     # step off the FB toward the adjacent gap: up when the FB sits at or
     # below the dispersive bands, down when it caps the spectrum

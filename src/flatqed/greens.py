@@ -20,12 +20,13 @@ and one SVD of the inter-sublattice block T gives every eigenpair and its
 exact zero modes (Lieb, PRL 62, 1201 (1989); Inui, Trugman & Abrahams, PRB
 49, 3190 (1994)).  Clean chiral models stay on ``eigh`` while the recorded
 1D decay lengths pin its round-off (see :func:`eigensystem`).  Larger clean
-models use the Bloch basis (:func:`bloch_basis`): one batched ``eigh`` of
-the Q x Q Bloch blocks on the commensurate k-grid, reached from site space
-by FFTs over the cell axes, so no N x N matrix is ever formed (lattice
-Green's functions as Bloch sums; Economou, *Green's Functions in Quantum
-Physics*).  The dense eigensystem stays the oracle and the basis of the
-dense flat-band projector.
+models use the Bloch basis (:func:`bloch_basis`): the Q x Q Bloch blocks on
+the commensurate k-grid, solved by batched Jacobi rotations at one k of
+each {k, -k} pair (the solve ``spectrum.band_structure`` shares) and
+reached from site space by FFTs over the cell axes, so no N x N matrix is
+ever formed (lattice Green's functions as Bloch sums; Economou, *Green's
+Functions in Quantum Physics*).  The dense eigensystem stays the oracle and
+the basis of the dense flat-band projector.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import numpy as np
 
 from flatqed.errors import NoFlatBand, PoleProximity
 from flatqed.lattice import (LatticeModel, bipartite_sites,
-                             bloch_hamiltonian, real_space_hamiltonian)
-from flatqed.spectrum import default_k_grid
+                             real_space_hamiltonian)
+from flatqed.spectrum import _bloch_eigh
 
 POLE_GUARD = 1e-12     # in units of J
 FB_TOL = 1e-8          # flat-band selection window, in units of J
@@ -186,19 +187,21 @@ class SpectralBasis:
 @lru_cache(maxsize=4)
 def bloch_basis(model: LatticeModel) -> SpectralBasis:
     """Eigenbasis of a clean model from its Bloch blocks on the commensurate
-    k-grid (one batched ``eigh`` over every k, cached per model like
-    :func:`eigensystem`; an entry holds O(Q N) numbers, not N^2).  This is
-    the one place Bloch eigenvectors are computed; ``spectrum.band_structure``
-    takes eigenvalues only.
+    k-grid, cached per model like :func:`eigensystem` (an entry holds
+    O(Q N) numbers, not N^2).  The blocks are solved by
+    ``spectrum._bloch_eigh``: batched Jacobi rotations at one k of each
+    {k, -k} pair, with u(-k) = u(k)* copied to the partner when the hoppings
+    are real, and every k with a complex hopping.  ``band_structure`` takes
+    its energies from the same solve, so ``w`` equals its bands bit for bit.
 
     With the phase convention of ``bloch_hamiltonian``, basis state (k, m)
     is e^{-ik.n} u_k[:, m] / sqrt(N_cells) on cell n; its index is
     k * Q + m, k running over ``default_k_grid``.  Amplitudes are an inverse
     FFT over the cell axes followed by u_k^H; synthesis is u_k followed by an
     FFT (both unitary, ``norm="ortho"``)."""
-    w, u = np.linalg.eigh(bloch_hamiltonian(model, default_k_grid(model)))
-    u_conj = u.conj()                                     # u: (n_k, Q, Q)
-    w = w.reshape(-1)
+    _k, bands, u = _bloch_eigh(model, vectors=True)      # u: (n_k, Q, Q)
+    u_conj = u.conj()
+    w = bands.T.reshape(-1)
     w.setflags(write=False)
     cells, Q = model.shape, model.Q
     axes = tuple(range(model.dim))

@@ -441,7 +441,11 @@ def bloch_hamiltonian(model: LatticeModel,
     Convention: a hopping ``amp * a^dag_{nu,n} a_{nup,n+off}`` contributes
     ``amp * exp(-i k . off)`` to ``H_k[nu, nup]`` (plus Hermitian conjugate),
     so real-space eigenvalues on the commensurate grid coincide with the union
-    of Bloch eigenvalues.
+    of Bloch eigenvalues.  The phase is the product over axes of
+    exp(-i k_d off_d), one complex exponential per distinct (axis, offset
+    component); a single k is evaluated as a batch of one, so it matches
+    its row of any batch bit for bit.  The result is a view of entry-major
+    storage: each H[..., nu, nup] is one contiguous array over the batch.
     """
     if model.disorder is not None:
         raise UnsupportedLattice("Bloch Hamiltonian undefined for disordered models")
@@ -450,14 +454,21 @@ def bloch_hamiltonian(model: LatticeModel,
         kv = kv[None]
     if kv.shape[-1] != model.dim:
         raise ConfigError("wavevector dimension mismatch")
-    H = np.zeros(kv.shape[:-1] + (model.Q, model.Q), dtype=complex)
+    kf = kv.reshape(-1, model.dim)
+    components = {(d, o) for *_ignore, off, _amp in model.hoppings
+                  for d, o in enumerate(off) if o != 0}
+    factor = {(d, o): np.exp(-1j * (o * kf[:, d])) for d, o in components}
+    H = np.zeros((model.Q, model.Q, len(kf)), dtype=complex)
     for s, eps in enumerate(model.onsite):
-        H[..., s, s] = eps
+        H[s, s] = eps
     for nu, nup, off, amp in model.hoppings:
-        phase = np.exp(-1j * (kv @ np.asarray(off, dtype=float)))
-        H[..., nu, nup] += amp * phase
-        H[..., nup, nu] += np.conj(amp * phase)
-    return H
+        term = amp
+        for d, o in enumerate(off):
+            if o != 0:
+                term = term * factor[d, o]
+        H[nu, nup] += term
+        H[nup, nu] += np.conj(term)
+    return np.moveaxis(H.reshape(H.shape[:2] + kv.shape[:-1]), (0, 1), (-2, -1))
 
 
 def apply_disorder(model: LatticeModel, spec: DisorderSpec) -> LatticeModel:

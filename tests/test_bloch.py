@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flatqed import greens
+from flatqed import greens, spectrum
 from flatqed.boundstate import (EmitterSpec, bs_profile, bs_wavefunction,
                                 omega0_for_detuning, small_atom, solve_pole)
 from flatqed.cli import main
@@ -30,12 +30,12 @@ from flatqed.greens import (POLE_GUARD, bloch_basis, eigensystem,
                             fb_projector, fb_weights, resolvent_vector,
                             self_energy, spectral_basis)
 from flatqed.interactions import interaction_matrix
-from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
-                             bloch_hamiltonian, build_chain,
+from flatqed.lattice import (DisorderSpec, LatticeModel, _is_real,
+                             apply_disorder, bloch_hamiltonian, build_chain,
                              build_checkerboard, build_double_comb,
                              build_kagome1d, build_sawtooth, build_stub,
                              real_space_hamiltonian, site_index)
-from flatqed.spectrum import default_k_grid
+from flatqed.spectrum import band_structure, default_k_grid
 
 FLUX_SAWTOOTH = LatticeModel(
     "flux-sawtooth", 1, (6,), ("a", "b"), (0.0, 0.3),
@@ -107,12 +107,54 @@ def test_bloch_basis_is_the_eigenbasis(model):
 
 @pytest.mark.parametrize("model", BLOCH_MODELS, ids=lambda m: f"{m.name}{m.shape}")
 def test_bloch_basis_is_one_full_grid_eigh(model):
-    """w and the Bloch eigenvectors u are those of one batched eigh over
-    every k of the grid, bit for bit (no k is paired with -k here)."""
-    w, u = np.linalg.eigh(bloch_hamiltonian(model, default_k_grid(model)))
+    """w and the Bloch eigenvectors u solve the block of every k of the grid
+    to 32 Q eps max|H_k|, against the per-k ``eigvalsh`` oracle: w ascending
+    and within that bound of eigvalsh, ||H_k u_k - u_k w_k|| within it, and
+    ||u_k^H u_k - I|| within 32 Q eps.  With real hoppings the partner of
+    each representative k (cell index m -> -m mod N) carries its w and
+    conj(u) exactly."""
+    ks = default_k_grid(model)
+    H = bloch_hamiltonian(model, ks)
     basis = bloch_basis(model)
-    assert np.array_equal(basis.w, w.reshape(-1))
-    assert np.array_equal(inspect.getclosurevars(basis.synthesize).nonlocals["u"], u)
+    u = inspect.getclosurevars(basis.synthesize).nonlocals["u"]
+    w = basis.w.reshape(len(ks), model.Q)
+    rel = 32 * model.Q * np.finfo(float).eps
+    bound = rel * np.max(np.abs(H), axis=(1, 2))
+    assert np.all(np.diff(w, axis=1) >= 0)
+    assert np.all(np.max(np.abs(w - np.linalg.eigvalsh(H)), axis=1) <= bound)
+    assert np.all(np.linalg.norm(H @ u - u * w[:, None, :], axis=(1, 2))
+                  <= bound)
+    gram = u.conj().transpose(0, 2, 1) @ u
+    assert np.all(np.linalg.norm(gram - np.eye(model.Q), axis=(1, 2)) <= rel)
+    if _is_real(model):
+        cells = np.indices(model.shape).reshape(model.dim, -1)
+        partner = np.ravel_multi_index(tuple(-cells), model.shape, mode="wrap")
+        mirrored = np.flatnonzero(np.arange(len(ks)) > partner)
+        assert np.array_equal(w[mirrored], w[partner[mirrored]])
+        assert np.array_equal(u[mirrored], u[partner[mirrored]].conj())
+
+
+@pytest.mark.parametrize("model", BLOCH_MODELS, ids=lambda m: f"{m.name}{m.shape}")
+def test_bands_and_bloch_basis_share_one_solve(model, monkeypatch):
+    """``bloch_basis`` and ``band_structure`` take their energies from one
+    Jacobi solve, bit for bit: one k of each {k, -k} pair with real
+    hoppings, every k with a complex one (the flux sawtooth)."""
+    solved = {False: [], True: []}
+
+    def spy(H, vectors=False):
+        solved[vectors].append(H.shape[0])
+        return jacobi(H, vectors)
+
+    jacobi = spectrum._jacobi_eigh
+    monkeypatch.setattr(spectrum, "_jacobi_eigh", spy)
+    basis = bloch_basis.__wrapped__(model)
+    bands = band_structure(model).bands
+    assert np.array_equal(basis.w, bands.T.reshape(-1))
+    cells = np.indices(model.shape).reshape(model.dim, -1)
+    partner = np.ravel_multi_index(tuple(-cells), model.shape, mode="wrap")
+    n_pairs = np.count_nonzero(np.arange(model.n_cells) <= partner)
+    expected = n_pairs if _is_real(model) else model.n_cells
+    assert solved[True] == solved[False] and sum(solved[False]) == expected
 
 
 @given(model=bloch_model, omega=st.floats(-5.0, 5.0),

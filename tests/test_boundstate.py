@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from flatqed import boundstate
 from flatqed.boundstate import (BoundStateResult, EmitterSpec, bs_profile,
                                 bs_wavefunction,
                                 localization_length_fit, omega0_for_detuning,
@@ -188,3 +189,14 @@ def test_emitter_validation():
 def test_nonfinite_detuning_is_rejected(delta):
     with pytest.raises(ValueError, match="must be finite"):
         omega0_for_detuning(build_sawtooth(12), delta)
+
+
+def test_unknown_detuning_reference_is_rejected_before_the_basis(monkeypatch):
+    """A bad ``reference`` raises before any spectral basis is built (a
+    1000-site model would otherwise pay its dense eigh first)."""
+    def no_basis(model):
+        raise AssertionError("spectral basis built for a rejected reference")
+
+    monkeypatch.setattr(boundstate, "spectral_basis", no_basis)
+    with pytest.raises(ValueError, match="unknown detuning reference"):
+        omega0_for_detuning(build_sawtooth(500), 0.1, reference="bogus")

@@ -141,9 +141,10 @@ def test_bloch_batch_equals_per_k_calls(model):
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
 def test_band_structure_equals_per_k_eigh(model):
-    """One k of each {k, -k} pair (the lower grid index) reproduces the per-k
-    eigvalsh bit for bit; its partner carries the same bands, which match
-    the partner's own eigvalsh to round-off."""
+    """The bands at every k are ascending and within 32 Q eps max|H_k| of
+    that k's own eigvalsh; the partner of each representative k (the lower
+    grid index of a {k, -k} pair) carries the representative's bands
+    exactly."""
     from flatqed.spectrum import band_structure, default_k_grid
 
     ks = default_k_grid(model)
@@ -153,12 +154,11 @@ def test_band_structure_equals_per_k_eigh(model):
     index = {c: i for i, c in enumerate(cells)}
     for i, c in enumerate(cells):
         j = index[tuple(-m % n for m, n in zip(c, model.shape))]
-        rep = min(i, j)
-        w_rep = np.linalg.eigvalsh(bloch_hamiltonian(model, ks[rep]))
-        assert np.array_equal(bs.bands[:, rep], w_rep)
-        assert np.array_equal(bs.bands[:, i], bs.bands[:, rep])
-        w = np.linalg.eigvalsh(bloch_hamiltonian(model, ks[i]))
-        assert np.max(np.abs(bs.bands[:, i] - w)) < 1e-13
+        assert np.array_equal(bs.bands[:, i], bs.bands[:, min(i, j)])
+        H = bloch_hamiltonian(model, ks[i])
+        bound = 32 * model.Q * np.finfo(float).eps * np.max(np.abs(H))
+        assert np.all(np.diff(bs.bands[:, i]) >= 0)
+        assert np.max(np.abs(bs.bands[:, i] - np.linalg.eigvalsh(H))) <= bound
 
 
 def test_bloch_shape_errors():
