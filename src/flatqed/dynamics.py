@@ -173,8 +173,8 @@ def _initial_state(initial: int | np.ndarray, n_index: int, dim: int,
                    t_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The unit initial vector of length ``dim`` and the time grid as a
     float array.  ``initial`` is an index below ``n_index`` or a vector of
-    length ``dim``, with a finite non-zero norm; every time must be
-    finite."""
+    length ``dim``, with a finite non-zero norm; the times must be a
+    one-dimensional array of finite values."""
     if isinstance(initial, (int, np.integer)):
         if not 0 <= initial < n_index:
             raise ValueError(f"initial index {initial} outside range({n_index})")
@@ -189,6 +189,8 @@ def _initial_state(initial: int | np.ndarray, n_index: int, dim: int,
             raise ValueError("initial state must be finite and non-zero")
         c0 = c0 / norm
     t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1:
+        raise ValueError("times must be a one-dimensional array")
     if not np.isfinite(t_grid).all():
         raise ValueError("times must be finite")
     return c0, t_grid

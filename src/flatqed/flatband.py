@@ -49,6 +49,17 @@ def _alphas(alpha) -> tuple[float, ...]:
     return alphas
 
 
+def _offsets(delta_n) -> np.ndarray:
+    """Lattice offsets as an integer array of the input's shape; integral
+    floats are accepted, anything else is a ``ValueError``."""
+    dn = np.asarray(delta_n)
+    if dn.dtype.kind not in "biu" and not (
+            dn.dtype.kind == "f" and np.isfinite(dn).all()
+            and (dn == np.round(dn)).all()):
+        raise ValueError(f"lattice offsets must be integers, got {delta_n!r}")
+    return dn.astype(int)
+
+
 AXIS_QUADRATURE_NODES = 256  # midpoint (Gauss-Chebyshev) nodes on the 2D branch cut
 
 
@@ -62,13 +73,13 @@ def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
     taken via |z| = e^{-mu} and expm1 so that rows with A -> |B| stay accurate.
 
     Raises :class:`SingularF` if f < 1e-14 anywhere on the grid, and
-    ``ValueError`` for more than two overlaps."""
+    ``ValueError`` for more than two overlaps or a non-integral offset."""
     if n_k < 1:
         raise ValueError("n_k must be >= 1")
     alphas = _alphas(alpha)
     if not 1 <= len(alphas) <= 2:
         raise ValueError("xi_numeric takes one or two CLS overlaps")
-    dn = np.atleast_1d(np.asarray(delta_n, dtype=int))
+    dn = np.atleast_1d(_offsets(delta_n))
     if dn.shape != (len(alphas),):
         raise ValueError("offset dimension mismatch with alphas")
     k = 2.0 * np.pi * np.arange(n_k) / n_k
@@ -134,7 +145,7 @@ def xi_analytic_1d(alpha: float, delta_n: int) -> float:
     a = float(alpha)
     if not abs(a) < 0.5:
         raise ValueError("xi_analytic_1d requires |alpha| < 1/2")
-    d = abs(int(delta_n))
+    d = abs(int(_offsets(delta_n)))
     if a == 0.0:
         return 1.0 if d == 0 else 0.0
     pref = 1.0 / math.sqrt(1.0 - 4.0 * a * a)
@@ -176,7 +187,7 @@ def xi_2d_axis(alpha: float, d: int) -> float:
         raise ValueError("alpha = 0: xi is a Kronecker delta; no 2D law")
     if not abs(a) < 0.25:
         raise SingularF("|alpha| >= 1/4: f(k) vanishes in the Brillouin zone")
-    d = abs(int(d))
+    d = abs(int(_offsets(d)))
     t1, t2 = (-z for z in xi_2d_poles(abs(a)))      # 0 < t2 < t1 < 1
     n = AXIS_QUADRATURE_NODES
     theta = np.pi * (np.arange(n) + 0.5) / n

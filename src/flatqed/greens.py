@@ -13,33 +13,38 @@ the pole solver reads its n = 1 case and the interaction matrix the rest.
 with at most ``DENSE_MAX_SITES`` sites, use the cached dense eigensystem of
 the real-space Hamiltonian (:func:`eigensystem`); builders with real hoppings
 give a real U, which is never cast to complex (complex vectors are split into
-real and imaginary parts).  The eigensystem is a dense ``eigh``, except for
-off-diagonally disordered models whose sublattices two-colour with zero
+real and imaginary parts).  Its cache is an LRU of 4 pairs of which at most
+one belongs to a disordered model: a sweep over disorder seeds never asks
+for a realisation twice, so each new one replaces the last and the sweep
+holds one N x N pair at a time.  The eigensystem is a dense ``eigh``, except
+for off-diagonally disordered models whose sublattices two-colour with zero
 on-site energies (the stub): such a model is chiral, H = [[0, T], [T^H, 0]],
-and one SVD of the inter-sublattice block T gives every eigenpair and its
-exact zero modes (Lieb, PRL 62, 1201 (1989); Inui, Trugman & Abrahams, PRB
-49, 3190 (1994)).  Clean chiral models stay on ``eigh`` while the recorded
-1D decay lengths pin its round-off (see :func:`eigensystem`).  Larger clean
-models use the Bloch basis (:func:`bloch_basis`): the Q x Q Bloch blocks on
-the commensurate k-grid, solved by batched Jacobi rotations at one k of
-each {k, -k} pair (the solve ``spectrum.band_structure`` shares) and
-reached from site space by FFTs over the cell axes, so no N x N matrix is
-ever formed (lattice Green's functions as Bloch sums; Economou, *Green's
-Functions in Quantum Physics*).  The dense eigensystem stays the oracle and
-the basis of the dense flat-band projector.
+and one SVD of the inter-sublattice block T, scattered straight from the
+bond list, gives every eigenpair and its exact zero modes (Lieb, PRL 62,
+1201 (1989); Inui, Trugman & Abrahams, PRB 49, 3190 (1994)).  Clean chiral
+models stay on ``eigh`` while the recorded 1D decay lengths pin its
+round-off (see :func:`eigensystem`).  Larger clean models use the Bloch
+basis (:func:`bloch_basis`): the Q x Q Bloch blocks on the commensurate
+k-grid, solved by batched Jacobi rotations at one k of each {k, -k} pair
+(the solve ``spectrum.band_structure`` shares) and reached from site space
+by FFTs over the cell axes, so no N x N matrix is ever formed (lattice
+Green's functions as Bloch sums; Economou, *Green's Functions in Quantum
+Physics*).  The dense eigensystem stays the oracle and the basis of the
+dense flat-band projector.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 from typing import Callable
 
 import numpy as np
 
 from flatqed.errors import NoFlatBand, PoleProximity
-from flatqed.lattice import (LatticeModel, bipartite_sites,
-                             real_space_hamiltonian)
+from flatqed.lattice import (LatticeModel, _hopping_entries,
+                             bipartite_sites, real_space_hamiltonian)
 from flatqed.spectrum import _bloch_eigh
 
 POLE_GUARD = 1e-12     # in units of J
@@ -62,7 +67,13 @@ def _chiral_block(model: LatticeModel
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(T, A, B) with T = H[A][:, B] for a model on the chiral path, else
     None: off-diagonal disorder, zero on-site energies and sublattices that
-    two-colour (``lattice.bipartite_sites``, n_A >= n_B)."""
+    two-colour (``lattice.bipartite_sites``, n_A >= n_B).
+
+    T is scattered straight from the hopping entries of the real-space
+    Hamiltonian, no N x N matrix being formed: every bond joins A and B, so
+    exactly one of its entries, t at (i, j) or t* at (j, i), has its row in
+    A, and those entries are summed in the order ``real_space_hamiltonian``
+    sums them, so T equals its (A, B) block bit for bit."""
     if (model.disorder is None or model.disorder.kind != "off-diagonal"
             or any(model.onsite)):
         return None
@@ -70,7 +81,16 @@ def _chiral_block(model: LatticeModel
     if sites is None:
         return None
     A, B = sites
-    return real_space_hamiltonian(model)[np.ix_(A, B)], A, B
+    in_a = np.zeros(model.n_sites, dtype=bool)
+    in_a[A] = True
+    pos = np.empty(model.n_sites, dtype=np.intp)
+    pos[A] = np.arange(len(A))
+    pos[B] = np.arange(len(B))
+    rows, cols, vals = _hopping_entries(model)
+    keep = in_a[rows]
+    T = np.zeros((len(A), len(B)), dtype=vals.dtype)
+    np.add.at(T, (pos[rows[keep]], pos[cols[keep]]), vals[keep])
+    return T, A, B
 
 
 def _chiral_energies(s: np.ndarray, n_zero: int) -> np.ndarray:
@@ -82,7 +102,8 @@ def _chiral_energies(s: np.ndarray, n_zero: int) -> np.ndarray:
 def eigenvalues(model: LatticeModel) -> np.ndarray:
     """Ascending eigenvalues of the real-space Hamiltonian, without
     eigenvectors and outside the :func:`eigensystem` cache: singular values
-    of T on the chiral path, ``eigvalsh`` otherwise."""
+    of T on the chiral path (no N x N matrix formed), ``eigvalsh``
+    otherwise."""
     chiral = _chiral_block(model)
     if chiral is None:
         return np.linalg.eigvalsh(real_space_hamiltonian(model))
@@ -91,18 +112,68 @@ def eigenvalues(model: LatticeModel) -> np.ndarray:
                             len(A) - len(B))
 
 
-@lru_cache(maxsize=4)
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+def _one_disordered_pair(decompose: Callable) -> Callable:
+    """Cache ``decompose(model)`` in an LRU of 4 entries of which at most one
+    belongs to a disordered model.
+
+    A disorder sweep makes a new model per realisation and never asks for an
+    old one again, so a disordered model that misses first drops the held
+    disordered pair, and its memory is free before the new pair is
+    allocated; a repeated call on one disordered model (a bound state, then
+    an evolve) still hits.  Clean models keep the plain LRU.
+    ``cache_info()`` and ``cache_clear()`` behave as those of
+    ``functools.lru_cache``, counting every call."""
+    maxsize = 4
+    held: OrderedDict = OrderedDict()
+    hits = misses = 0
+
+    @wraps(decompose)
+    def cached(model: LatticeModel):
+        nonlocal hits, misses
+        pair = held.get(model)
+        if pair is not None:
+            hits += 1
+            held.move_to_end(model)
+            return pair
+        misses += 1
+        if model.disorder is not None:
+            for old in [m for m in held if m.disorder is not None]:
+                del held[old]
+        held[model] = pair = decompose(model)
+        if len(held) > maxsize:
+            held.popitem(last=False)
+        return pair
+
+    def cache_info() -> _CacheInfo:
+        return _CacheInfo(hits, misses, maxsize, len(held))
+
+    def cache_clear() -> None:
+        nonlocal hits, misses
+        held.clear()
+        hits = misses = 0
+
+    cached.cache_info = cache_info
+    cached.cache_clear = cache_clear
+    return cached
+
+
+@_one_disordered_pair
 def eigensystem(model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
     """Cached (eigenvalues, eigenvectors) of the real-space Hamiltonian,
-    eigenvalues ascending, U real exactly when the hoppings are.
+    eigenvalues ascending, U real exactly when the hoppings are.  The cache
+    holds up to 4 pairs, at most one of them for a disordered model (see
+    :func:`_one_disordered_pair`).
 
     Chiral path (off-diagonally disordered models with zero on-site energies
     whose sublattices two-colour, see :func:`_chiral_block`): one SVD of the
     n_A x n_B block, T = X S Y^H, gives the eigenvalues -s_i and +s_i with
     vectors (x_i, -y_i)/sqrt(2) and (x_i, y_i)/sqrt(2), and n_A - n_B exact
     zeros (x_j, 0) from X's trailing columns, at about a third of the cost
-    of ``eigh``.  Squaring T (``eigh(T^H T)``) would lose the small s_i
-    where the bands touch.
+    of ``eigh`` and with no N x N Hamiltonian formed.  Squaring T
+    (``eigh(T^H T)``) would lose the small s_i where the bands touch.
 
     Every other model, clean ones included, takes ``np.linalg.eigh``.  The
     clean stub is chiral too, but ``benchmarks/golden.json`` pins the

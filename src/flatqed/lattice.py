@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -397,22 +397,18 @@ def _disorder_draws(model: LatticeModel) -> tuple[np.ndarray | None, np.ndarray 
     return None, rng.uniform(-d, d, size=n_bonds)
 
 
-def real_space_hamiltonian(model: LatticeModel) -> np.ndarray:
-    """Dense Hermitian single-excitation Hamiltonian over all sites.
+def _hopping_entries(model: LatticeModel
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, vals) of every off-diagonal entry of the real-space
+    Hamiltonian, in the order they are summed.
 
     Bonds are numbered cell-major, hopping-minor (the order of the
-    off-diagonal disorder draws); each bond adds t at (i, j) and then t* at
-    (j, i), all in one ordered scatter."""
-    n, Q = model.n_sites, model.Q
+    off-diagonal disorder draws); each bond gives t at (i, j) and then t* at
+    (j, i).  Wrap-around can repeat an (i, j), so the entries are summed
+    with one ordered scatter (``np.add.at``)."""
+    Q, n_hops = model.Q, len(model.hoppings)
     dtype = float if _is_real(model) else complex
-    H = np.zeros((n, n), dtype=dtype)
-    diag_dis, hop_dis = _disorder_draws(model)
-    for s, eps in enumerate(model.onsite):
-        idx = np.arange(s, n, Q)
-        H[idx, idx] += eps
-    if diag_dis is not None:
-        H[np.arange(n), np.arange(n)] += diag_dis
-    n_hops = len(model.hoppings)
+    _diag_dis, hop_dis = _disorder_draws(model)
     cell = np.arange(model.n_cells)
     coords = np.indices(model.shape).reshape(model.dim, -1)
     rows = np.empty((model.n_cells, n_hops, 2), dtype=np.intp)
@@ -427,7 +423,23 @@ def real_space_hamiltonian(model: LatticeModel) -> np.ndarray:
         rows[:, h, 1] = target * Q + nup
         vals[:, h, 0] = t
         vals[:, h, 1] = np.conj(t)
-    np.add.at(H, (rows.ravel(), rows[..., ::-1].ravel()), vals.ravel())
+    return rows.ravel(), rows[..., ::-1].ravel(), vals.ravel()
+
+
+def real_space_hamiltonian(model: LatticeModel) -> np.ndarray:
+    """Dense Hermitian single-excitation Hamiltonian over all sites: the
+    on-site energies and diagonal disorder, then the ordered scatter of
+    :func:`_hopping_entries`."""
+    n, Q = model.n_sites, model.Q
+    H = np.zeros((n, n), dtype=float if _is_real(model) else complex)
+    diag_dis, _hop_dis = _disorder_draws(model)
+    for s, eps in enumerate(model.onsite):
+        idx = np.arange(s, n, Q)
+        H[idx, idx] += eps
+    if diag_dis is not None:
+        H[np.arange(n), np.arange(n)] += diag_dis
+    rows, cols, vals = _hopping_entries(model)
+    np.add.at(H, (rows, cols), vals)
     return H
 
 
@@ -443,22 +455,47 @@ def bloch_hamiltonian(model: LatticeModel,
     so real-space eigenvalues on the commensurate grid coincide with the union
     of Bloch eigenvalues.  The phase is the product over axes of
     exp(-i k_d off_d), one complex exponential per distinct (axis, offset
-    component); a single k is evaluated as a batch of one, so it matches
-    its row of any batch bit for bit.  The result is a view of entry-major
-    storage: each H[..., nu, nup] is one contiguous array over the batch.
+    component), exact at the quarter turns (:func:`_unit_phases`); a single
+    k is evaluated as a batch of one, so it matches its row of any batch
+    bit for bit.  The result is a view of entry-major storage: each
+    H[..., nu, nup] is one contiguous array over the batch.  The blocks are
+    assembled by :func:`_bloch_blocks`, which ``spectrum._bloch_eigh``
+    shares with phases read from the grid index.
     """
-    if model.disorder is not None:
-        raise UnsupportedLattice("Bloch Hamiltonian undefined for disordered models")
     kv = np.asarray(k, dtype=float)
     if kv.ndim == 0:
         kv = kv[None]
     if kv.shape[-1] != model.dim:
         raise ConfigError("wavevector dimension mismatch")
     kf = kv.reshape(-1, model.dim)
+    H = _bloch_blocks(model, lambda d, o: _unit_phases(o * kf[:, d]),
+                      len(kf))
+    return np.moveaxis(H.reshape(H.shape[:2] + kv.shape[:-1]), (0, 1), (-2, -1))
+
+
+def _unit_phases(theta: np.ndarray) -> np.ndarray:
+    """exp(-i theta) of a float array, exactly 1, -i, -1 or i where theta is
+    an integer multiple of the float pi/2, so that a block at k_d = 0 or pi
+    is as real as its hoppings (e^{-i pi} would be -1 - 1.2e-16i)."""
+    quarter = np.rint(theta / (np.pi / 2))
+    exact = theta - quarter * (np.pi / 2) == 0    # false for inf and nan
+    phases = np.exp(-1j * theta)
+    phases[exact] = np.array([1, -1j, -1, 1j])[quarter[exact].astype(int) % 4]
+    return phases
+
+
+def _bloch_blocks(model: LatticeModel,
+                  phase: Callable[[int, int], np.ndarray],
+                  n: int) -> np.ndarray:
+    """Entry-major Bloch blocks of shape (Q, Q, n) for a batch of n
+    wavevectors, ``phase(d, o)`` giving exp(-i k_d o) over the batch; it is
+    called once per distinct (axis, non-zero offset component)."""
+    if model.disorder is not None:
+        raise UnsupportedLattice("Bloch Hamiltonian undefined for disordered models")
     components = {(d, o) for *_ignore, off, _amp in model.hoppings
                   for d, o in enumerate(off) if o != 0}
-    factor = {(d, o): np.exp(-1j * (o * kf[:, d])) for d, o in components}
-    H = np.zeros((model.Q, model.Q, len(kf)), dtype=complex)
+    factor = {c: phase(*c) for c in components}
+    H = np.zeros((model.Q, model.Q, n), dtype=complex)
     for s, eps in enumerate(model.onsite):
         H[s, s] = eps
     for nu, nup, off, amp in model.hoppings:
@@ -468,7 +505,7 @@ def bloch_hamiltonian(model: LatticeModel,
                 term = term * factor[d, o]
         H[nu, nup] += term
         H[nup, nu] += np.conj(term)
-    return np.moveaxis(H.reshape(H.shape[:2] + kv.shape[:-1]), (0, 1), (-2, -1))
+    return H
 
 
 def apply_disorder(model: LatticeModel, spec: DisorderSpec) -> LatticeModel:

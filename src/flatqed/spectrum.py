@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from flatqed.lattice import LatticeModel, _is_real, bloch_hamiltonian
+from flatqed.lattice import LatticeModel, _bloch_blocks, _is_real
 
 
 @dataclass(frozen=True)
@@ -192,6 +192,17 @@ def _copy_to_partners(W: np.ndarray, axis: int, conj: bool = False) -> None:
         _copy_to_partners(W[lead + (n // 2,)], axis, conj)
 
 
+def _roots_of_unity(n: int) -> np.ndarray:
+    """exp(-i k_j) at the points k_j = 2 pi j / n of ``default_k_grid``,
+    exactly 1, -i, -1 and i at the quarter turns j = 0, n/4, n/2 and 3n/4
+    (where these are integers); exp(-i pi) alone would be -1 - 1.2e-16i."""
+    j = np.arange(n)
+    roots = np.exp(-1j * (2.0 * np.pi * j / n))
+    quarter = 4 * j % n == 0
+    roots[quarter] = np.array([1, -1j, -1, 1j])[4 * j[quarter] // n]
+    return roots
+
+
 def _bloch_eigh(model: LatticeModel, vectors: bool = False
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(k_grid, w, u) on ``default_k_grid`` from :func:`_jacobi_eigh` of the
@@ -205,17 +216,30 @@ def _bloch_eigh(model: LatticeModel, vectors: bool = False
     (:func:`_pair_representatives`).  A model with a complex hopping has no
     such symmetry, and every k is diagonalized.  The blocks are solved
     ``_BLOCH_CHUNK`` k-points at a time, so every temporary stays small and
-    is reused."""
+    is reused.
+
+    Each phase exp(-i k_d o) is read from a table of the N_d-th roots of
+    unity (:func:`_roots_of_unity`) at the grid index (m_d |o|) mod N_d,
+    conjugated for o < 0, so a self-partner k (every component 0 or pi)
+    gets phases of exactly +-1 and, with real hoppings, an exactly real
+    block and real vectors."""
     k_grid = default_k_grid(model)
     n_k, Q = len(k_grid), model.Q
     real = _is_real(model)
+    roots = [_roots_of_unity(n) for n in model.shape]
     w = np.empty((Q, n_k))
     V = np.empty((Q, Q, n_k), dtype=complex) if vectors else None
     for a, b in _pair_representatives(model.shape) if real else [(0, n_k)]:
         for start in range(a, b, _BLOCH_CHUNK):
             part = slice(start, min(start + _BLOCH_CHUNK, b))
-            w[:, part], V_part = _jacobi_eigh(
-                bloch_hamiltonian(model, k_grid[part]), vectors)
+            m = np.unravel_index(np.arange(part.start, part.stop), model.shape)
+
+            def phase(d: int, o: int) -> np.ndarray:
+                p = roots[d][m[d] * abs(o) % model.shape[d]]
+                return p if o > 0 else p.conj()
+
+            H = _bloch_blocks(model, phase, part.stop - part.start)
+            w[:, part], V_part = _jacobi_eigh(np.moveaxis(H, 2, 0), vectors)
             if vectors:
                 V[..., part] = V_part
     if real:

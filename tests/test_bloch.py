@@ -157,6 +157,32 @@ def test_bands_and_bloch_basis_share_one_solve(model, monkeypatch):
     assert solved[True] == solved[False] and sum(solved[False]) == expected
 
 
+@pytest.mark.parametrize("model", [
+    build_sawtooth(6), build_stub(6), build_kagome1d(6),
+    build_checkerboard(4, 4), build_checkerboard(6, 5)],
+    ids=lambda m: f"{m.name}{m.shape}")
+def test_self_partner_blocks_and_vectors_are_real(model, monkeypatch):
+    """At a self-partner k (every component 0 or pi) the phases are exactly
+    +-1, so with real hoppings the vectors ``bloch_basis`` holds have no
+    imaginary part, and ``band_structure`` still equals its energies bit
+    for bit."""
+    held = []
+
+    def spy(model, vectors=False):
+        held.append(solve(model, vectors))
+        return held[-1]
+
+    solve = greens._bloch_eigh
+    monkeypatch.setattr(greens, "_bloch_eigh", spy)
+    basis = bloch_basis.__wrapped__(model)
+    k, _w, u = held[0]
+    self_partner = np.all((k == 0.0) | (k == np.pi), axis=1)
+    assert self_partner.sum() == 2 ** sum(n % 2 == 0 for n in model.shape)
+    assert not u[self_partner].imag.any()
+    bands = band_structure(model).bands
+    assert np.array_equal(basis.w, bands.T.reshape(-1))
+
+
 @given(model=bloch_model, omega=st.floats(-5.0, 5.0),
        kind=st.sampled_from(["site", "cls", "complex"]),
        seed=st.integers(0, 2**32 - 1))

@@ -131,6 +131,15 @@ def test_evolve_rejects_nonfinite_times(bad):
         evolve(model, [em], 0, np.array([0.0, bad]))
 
 
+@pytest.mark.parametrize("times", [1.0, np.linspace(0, 1, 8).reshape(2, 4)],
+                         ids=["scalar", "2d"])
+def test_evolve_rejects_times_not_1d(times):
+    model = build_chain(4)
+    em = small_atom(model, -2.1, 1e-2, 0, "a")
+    with pytest.raises(ValueError, match="one-dimensional"):
+        evolve(model, [em], 0, times)
+
+
 def test_fit_requires_minimum():
     model = build_chain(1)
     em = small_atom(model, 0.0, 1e-3, 0, "a")

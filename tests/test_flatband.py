@@ -165,6 +165,27 @@ def test_xi_singular_at_half():
         xi_numeric((0.1, 0.1, 0.1), (0, 0, 5), n_k=64)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: xi_analytic_1d(0.2, 2.7),
+    lambda: xi_numeric(0.2, 2.7),
+    lambda: xi_numeric(0.2, math.inf),
+    lambda: xi_2d_axis(0.15, 3.9),
+    lambda: xi_numeric((0.1, 0.1), (1.5, 2.2)),
+], ids=["analytic_1d", "numeric_1d", "numeric_inf", "2d_axis", "numeric_2d"])
+def test_non_integral_offset_is_rejected(call):
+    """A fractional offset is an error, not truncated to the integer below
+    it (xi(2.7) used to return xi(2))."""
+    with pytest.raises(ValueError, match="offsets must be integers"):
+        call()
+
+
+def test_integral_float_and_numpy_offsets_are_accepted():
+    assert xi_analytic_1d(0.2, 2.0) == xi_analytic_1d(0.2, 2)
+    assert xi_numeric(0.2, np.int64(3)) == xi_numeric(0.2, 3)
+    assert xi_2d_axis(0.15, np.float64(3.0)) == xi_2d_axis(0.15, 3)
+    assert xi_numeric((0.1, 0.1), (1.0, 2.0)) == xi_numeric((0.1, 0.1), (1, 2))
+
+
 def test_lambda_1d_value():
     """lambda at the sawtooth overlap alpha = 1/4."""
     assert lambda_1d(0.25) == pytest.approx(1.0 / settsech(0.5))

@@ -1,5 +1,6 @@
 import cmath
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,13 +8,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from flatqed.boundstate import EmitterSpec, solve_pole
+from flatqed import greens
+from flatqed.boundstate import (EmitterSpec, bs_wavefunction,
+                                localization_length_fit, omega0_for_detuning,
+                                small_atom, solve_pole)
+from flatqed.dynamics import evolve
 from flatqed.giant import cls_emitter
 from flatqed.interactions import interaction_matrix
 from flatqed.errors import NoFlatBand, PoleProximity
-from flatqed.greens import (POLE_GUARD, eigensystem, eigenvalues,
-                            fb_projector, fb_weights, resolvent_vector,
-                            self_energy)
+from flatqed.greens import (POLE_GUARD, _chiral_block, eigensystem,
+                            eigenvalues, fb_projector, fb_weights,
+                            resolvent_vector, self_energy)
 from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
                              build_chain, build_kagome1d, build_sawtooth,
                              build_stub, real_space_hamiltonian)
@@ -44,6 +49,14 @@ LIEB_2D = LatticeModel(
     ((0, 1, (0, 0), 1.0), (1, 0, (1, 0), 1.0),
      (0, 2, (0, 0), 1.0), (2, 0, (0, 1), 1.0)),
     1.0, disorder=DisorderSpec("off-diagonal", 0.4, seed=5))
+
+# Two cells, where a bond to cell n + 1 and one from cell n + 1 join the
+# same two sites: two bonds, one listed from B to A, sum into those entries
+# of T.
+WRAPPED_PAIR = LatticeModel(
+    "wrapped-pair", 1, (2,), ("a", "b"), (0.0, 0.0),
+    ((0, 1, (0,), 1.0), (0, 1, (1,), 0.7), (1, 0, (1,), 0.4)),
+    1.0, disorder=DisorderSpec("off-diagonal", 0.3, seed=2))
 
 SEAM_MODELS = [
     build_sawtooth(6),
@@ -164,6 +177,70 @@ def test_flux_model_takes_complex_branch():
     for model in SEAM_MODELS:
         assert (np.iscomplexobj(eigensystem(model)[1])
                 == (model in (FLUX_SAWTOOTH, FLUX_STUB)))
+
+
+def test_one_disordered_pair_is_held():
+    """Decomposing a new disordered model frees the pair of the last one;
+    clean models keep their LRU of 4 through the sweep, and cache_info
+    counts every call in the functools shape."""
+    cleans = [build_chain(n) for n in (5, 6, 7)]
+    eigensystem.cache_clear()
+    held = [eigensystem(m)[0] for m in cleans]
+    refs = []
+    for seed, kind in enumerate(["diagonal", "off-diagonal"] * 2):
+        model = apply_disorder(build_stub(8), DisorderSpec(kind, 0.3, seed))
+        refs.append(weakref.ref(eigensystem(model)[1]))
+        assert [ref() is None for ref in refs] == [True] * seed + [False]
+    assert [eigensystem(m)[0] for m in cleans] == held   # all three hit
+    info = eigensystem.cache_info()
+    assert (info.hits, info.misses, info.maxsize, info.currsize) == (3, 7, 4, 4)
+    eigensystem(build_chain(8))     # a fourth clean model evicts the LRU
+    assert refs[-1]() is None and eigensystem.cache_info().currsize == 4
+    eigensystem.cache_clear()
+    assert eigensystem.cache_info() == (0, 0, 4, 0)
+
+
+def test_disordered_bound_state_then_evolve_decomposes_once(monkeypatch):
+    """A bound state, its tail fit and an evolve on one diagonally
+    disordered model take one N x N ``eigh`` in all: the held pair serves
+    every call after the first."""
+    model = apply_disorder(build_stub(40), DisorderSpec("diagonal", 0.1, 6))
+    n = model.n_sites
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda H: shapes.append(H.shape) or eigh(H))
+    eigensystem.cache_clear()
+    em = small_atom(model, omega0_for_detuning(model, 1.0), 0.05, 20, "a")
+    localization_length_fit(bs_wavefunction(model, em), model, "a")
+    evolve(model, [em], 0, np.linspace(0.0, 10.0, 11))
+    assert shapes.count((n, n)) == 1
+    assert eigensystem.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("model", [
+    *(apply_disorder(build_stub(N), DisorderSpec("off-diagonal", 0.5, seed=N))
+      for N in (4, 5, 60)),
+    LIEB_2D, FLUX_STUB, WRAPPED_PAIR],
+    ids=["stub4", "stub5", "stub60", "lieb", "flux-stub", "wrapped-pair"])
+def test_chiral_block_is_the_hamiltonian_block(model, monkeypatch):
+    """T is scattered from the bond list bit for bit equal to the (A, B)
+    block of the dense Hamiltonian (bonds listed from B to A, and bonds that
+    wrap onto the same pair of sites, included), and neither
+    ``eigensystem`` nor ``eigenvalues`` forms the N x N matrix on the chiral
+    path."""
+    H = real_space_hamiltonian(model)
+    T, A, B = _chiral_block(model)
+    ref = H[np.ix_(A, B)]
+    assert T.dtype == ref.dtype and T.tobytes() == ref.tobytes()
+
+    def forbid(model):
+        raise AssertionError("dense Hamiltonian formed on the chiral path")
+
+    monkeypatch.setattr(greens, "real_space_hamiltonian", forbid)
+    w, U = eigensystem.__wrapped__(model)
+    assert np.max(np.abs(eigenvalues(model) - w)) < 1e-12
+    assert np.max(np.abs(H @ U - U * w)) < 1e-12
 
 
 def test_chiral_path_selection(monkeypatch):

@@ -118,6 +118,13 @@ def test_spin_dynamics_rejects_non_square_h_eff(shape):
         spin_dynamics(np.zeros(shape), 0, np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("times", [1.0, np.linspace(0, 1, 8).reshape(2, 4)],
+                         ids=["scalar", "2d"])
+def test_spin_dynamics_rejects_times_not_1d(times):
+    with pytest.raises(ValueError, match="one-dimensional"):
+        spin_dynamics(np.eye(2), 0, times)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_spin_dynamics_rejects_nonfinite_times(bad):
     with pytest.raises(ValueError, match="must be finite"):
