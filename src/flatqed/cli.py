@@ -200,12 +200,14 @@ def _cmd_xi(args: argparse.Namespace) -> None:
             raise ConfigError("--alpha count must match --dim")
     if args.max_dist < 0:
         raise ConfigError("--max-dist must be >= 0")
+    if args.compare and args.dim != 1:
+        raise ConfigError("--compare needs --dim 1 (the closed form is 1D)")
     rows = []
     for d in range(args.max_dist + 1):
         dn = (d,) if args.dim == 1 else (d, 0)
         num = xi_numeric(alphas, dn, n_k=args.nk)
         row = {"d": d, "xi_numeric": num}
-        if args.compare and args.dim == 1:
+        if args.compare:
             ana = xi_analytic_1d(alphas[0], d)
             row.update(xi_analytic=ana, abs_err=abs(num - ana))
         rows.append(row)

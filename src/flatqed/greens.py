@@ -25,8 +25,9 @@ bond list, gives every eigenpair and its exact zero modes (Lieb, PRL 62,
 models stay on ``eigh`` while the recorded 1D decay lengths pin its
 round-off (see :func:`eigensystem`).  Larger clean models use the Bloch
 basis (:func:`bloch_basis`): the Q x Q Bloch blocks on the commensurate
-k-grid, solved by batched Jacobi rotations at one k of each {k, -k} pair
-(the solve ``spectrum.band_structure`` shares) and reached from site space
+k-grid, exactly ``lattice.bloch_hamiltonian`` at each k, solved by batched
+Jacobi rotations at the lower index of each {k, -k} pair (the solve
+``spectrum.band_structure`` shares) and reached from site space
 by FFTs over the cell axes, so no N x N matrix is ever formed (lattice
 Green's functions as Bloch sums; Economou, *Green's Functions in Quantum
 Physics*).  The dense eigensystem stays the oracle and the basis of the
@@ -205,7 +206,10 @@ def eigensystem(model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_pole(model: LatticeModel, omega, denom: np.ndarray) -> None:
-    """PoleProximity if any denominator omega - w_a is within the guard."""
+    """ValueError for a non-finite omega (any column of it), PoleProximity
+    if any denominator omega - w_a is within the guard."""
+    if not np.isfinite(omega).all():
+        raise ValueError(f"omega = {omega} is not finite")
     guard = POLE_GUARD * model.J
     if np.min(np.abs(denom)) < guard:
         raise PoleProximity(
@@ -259,11 +263,14 @@ class SpectralBasis:
 def bloch_basis(model: LatticeModel) -> SpectralBasis:
     """Eigenbasis of a clean model from its Bloch blocks on the commensurate
     k-grid, cached per model like :func:`eigensystem` (an entry holds
-    O(Q N) numbers, not N^2).  The blocks are solved by
-    ``spectrum._bloch_eigh``: batched Jacobi rotations at one k of each
-    {k, -k} pair, with u(-k) = u(k)* copied to the partner when the hoppings
-    are real, and every k with a complex hopping.  ``band_structure`` takes
-    its energies from the same solve, so ``w`` equals its bands bit for bit.
+    O(Q N) numbers, not N^2).  The blocks, ``bloch_hamiltonian`` on
+    ``default_k_grid`` bit for bit, are solved by ``spectrum._bloch_eigh``:
+    batched Jacobi rotations at the lower index of each {k, -k} pair, with
+    u(-k) = u(k)* copied to the partner by one mirror of the grid when the
+    hoppings are real, and at every k with a complex hopping.  At a
+    self-partner k (every component 0 or pi) the phases are exactly +-1, so
+    a real model's u there is real.  ``band_structure`` takes its energies
+    from the same solve, so ``w`` equals its bands bit for bit.
 
     With the phase convention of ``bloch_hamiltonian``, basis state (k, m)
     is e^{-ik.n} u_k[:, m] / sqrt(N_cells) on cell n; its index is

@@ -460,7 +460,8 @@ def bloch_hamiltonian(model: LatticeModel,
     bit for bit.  The result is a view of entry-major storage: each
     H[..., nu, nup] is one contiguous array over the batch.  The blocks are
     assembled by :func:`_bloch_blocks`, which ``spectrum._bloch_eigh``
-    shares with phases read from the grid index.
+    shares with the same phases tabulated per axis of ``default_k_grid``,
+    so its solved blocks are this function's on that grid bit for bit.
     """
     kv = np.asarray(k, dtype=float)
     if kv.ndim == 0:
@@ -489,7 +490,9 @@ def _bloch_blocks(model: LatticeModel,
                   n: int) -> np.ndarray:
     """Entry-major Bloch blocks of shape (Q, Q, n) for a batch of n
     wavevectors, ``phase(d, o)`` giving exp(-i k_d o) over the batch; it is
-    called once per distinct (axis, non-zero offset component)."""
+    called once per distinct (axis, non-zero offset component).  Both
+    callers take the phase as :func:`_unit_phases` of o k_d, per k or read
+    from a per-axis table."""
     if model.disorder is not None:
         raise UnsupportedLattice("Bloch Hamiltonian undefined for disordered models")
     components = {(d, o) for *_ignore, off, _amp in model.hoppings

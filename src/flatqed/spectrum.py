@@ -2,21 +2,25 @@
 
 The Bloch blocks H(k) are diagonalized in one place, :func:`_bloch_eigh`,
 for both :func:`band_structure` (energies) and ``greens.bloch_basis``
-(energies and vectors): with real hoppings H(-k) = H(k)*, so only one k of
-each {k, -k} pair is solved and its partner gets the same energies and the
-conjugate vectors.  The solver is :func:`_jacobi_eigh`, cyclic Jacobi
-rotations vectorized over a batch of k-points, so no per-block LAPACK call
-is made.
+(energies and vectors), on ``default_k_grid``, whose quarter turns are the
+exact float multiples of pi/2.  Its phases are those of
+``lattice.bloch_hamiltonian``, tabulated per axis and read at the grid
+index, so each solved block is ``bloch_hamiltonian`` at that k bit for bit.
+With real hoppings H(-k) = H(k)*: one mirror of the grid axes, cell m to
+cell -m mod N, picks the lower index of each {k, -k} pair to solve and
+gives its partner the same energies and the conjugate vectors.  The solver
+is :func:`_jacobi_eigh`, cyclic Jacobi rotations vectorized over a batch of
+k-points, so no per-block LAPACK call is made.
 """
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from flatqed.lattice import LatticeModel, _bloch_blocks, _is_real
+from flatqed.lattice import LatticeModel, _bloch_blocks, _is_real, _unit_phases
 
 
 @dataclass(frozen=True)
@@ -37,15 +41,22 @@ class BandStructure:
 
 
 def default_k_grid(model: LatticeModel) -> np.ndarray:
-    """The k-grid commensurate with the finite lattice: k_d = 2 pi m_d / N_d.
+    """The k-grid commensurate with the finite lattice, k_d = 2 pi m_d / N_d
+    in C order over the cells, with the quarter turns m_d = 0, N_d/4, N_d/2
+    and 3 N_d/4 (where integers) set to the exact float multiples of pi/2:
+    2 pi (N/2) / N alone is not the float pi for N = 22, 26, 30, ...
 
     On this grid the multiset of Bloch eigenvalues equals the real-space
-    spectrum (exact arithmetic), for every builder.
+    spectrum (exact arithmetic), for every builder, and ``bloch_hamiltonian``
+    takes exact phases at a self-partner k (every component 0 or pi).
     """
     k = np.empty(model.shape + (model.dim,))
     for d, n in enumerate(model.shape):
-        k[..., d] = (2.0 * np.pi * np.arange(n) / n).reshape(
-            (-1,) + (1,) * (model.dim - 1 - d))
+        j = np.arange(n)
+        k_d = 2.0 * np.pi * j / n
+        quarter = 4 * j % n == 0
+        k_d[quarter] = 4 * j[quarter] // n * (np.pi / 2)
+        k[..., d] = k_d.reshape((-1,) + (1,) * (model.dim - 1 - d))
     return k.reshape(-1, model.dim)
 
 
@@ -148,61 +159,6 @@ def _jacobi_eigh(H: np.ndarray, vectors: bool = False
     return d, V
 
 
-def _pair_representatives(shape: tuple[int, ...], offset: int = 0
-                          ) -> list[tuple[int, int]]:
-    """Flat [start, stop) ranges, in C order over ``shape``, of the grid
-    points that represent their {k, -k} pair: the lower flat index of each
-    pair, -k having cell index -m_d mod N_d on every axis.
-
-    Along the first axis, planes 1 .. ceil(N/2) - 1 represent planes
-    N - 1 .. floor(N/2) + 1; plane 0, and plane N/2 for even N, are their
-    own partners and split the same way along the remaining axes."""
-    if not shape:
-        return [(offset, offset + 1)]
-    n, plane = shape[0], math.prod(shape[1:])
-    ranges = _pair_representatives(shape[1:], offset)
-    ranges.append((offset + plane, offset + (n + 1) // 2 * plane))
-    if n % 2 == 0:
-        ranges += _pair_representatives(shape[1:], offset + n // 2 * plane)
-    merged = []
-    for a, b in ranges:
-        if merged and merged[-1][1] == a:
-            a = merged.pop()[0]
-        if b > a:
-            merged.append((a, b))
-    return merged
-
-
-def _copy_to_partners(W: np.ndarray, axis: int, conj: bool = False) -> None:
-    """Fill in place every grid point of W (grid axes ``axis`` onward) that
-    does not represent its {k, -k} pair with its partner's values (complex
-    conjugated with ``conj``), the layout of :func:`_pair_representatives`."""
-    if axis == W.ndim:
-        return
-    n = W.shape[axis]
-    lead = (slice(None),) * axis
-    # planes n//2 + 1 .. n - 1 read planes n - n//2 - 1 .. 1, and within a
-    # plane the cell -m mod N of every other axis
-    mirror = W[lead + (slice(n - n // 2 - 1, 0, -1),)]
-    for ax in range(axis + 1, W.ndim):
-        mirror = np.roll(np.flip(mirror, ax), 1, ax)
-    W[lead + (slice(n // 2 + 1, None),)] = mirror.conj() if conj else mirror
-    _copy_to_partners(W[lead + (0,)], axis, conj)
-    if n % 2 == 0:
-        _copy_to_partners(W[lead + (n // 2,)], axis, conj)
-
-
-def _roots_of_unity(n: int) -> np.ndarray:
-    """exp(-i k_j) at the points k_j = 2 pi j / n of ``default_k_grid``,
-    exactly 1, -i, -1 and i at the quarter turns j = 0, n/4, n/2 and 3n/4
-    (where these are integers); exp(-i pi) alone would be -1 - 1.2e-16i."""
-    j = np.arange(n)
-    roots = np.exp(-1j * (2.0 * np.pi * j / n))
-    quarter = 4 * j % n == 0
-    roots[quarter] = np.array([1, -1j, -1, 1j])[4 * j[quarter] // n]
-    return roots
-
-
 def _bloch_eigh(model: LatticeModel, vectors: bool = False
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(k_grid, w, u) on ``default_k_grid`` from :func:`_jacobi_eigh` of the
@@ -210,45 +166,65 @@ def _bloch_eigh(model: LatticeModel, vectors: bool = False
     ascending down each column, and with ``vectors`` u of shape
     (n_k, Q, Q), H(k_i) u[i] = u[i] diag(w[:, i]).
 
-    With real hoppings H(-k) = H(k)* (time reversal), so the partner of k
-    gets E_m(-k) = E_m(k) and u(-k) = u(k)*, both copied exactly; the
-    representative of a pair is its lower grid index
-    (:func:`_pair_representatives`).  A model with a complex hopping has no
-    such symmetry, and every k is diagonalized.  The blocks are solved
-    ``_BLOCH_CHUNK`` k-points at a time, so every temporary stays small and
-    is reused.
+    The partner -k of grid point m is the cell -m mod N on every axis, so
+    one mirror of the grid axes, ``np.roll(np.flip(a), 1)``, maps every
+    point to its partner.  With real hoppings H(-k) = H(k)* (time
+    reversal): the lower flat index of each pair is solved, in contiguous
+    runs of at most ``_BLOCH_CHUNK`` k-points so that the Jacobi
+    temporaries stay small, and the mirror copies E_m(-k) = E_m(k) and
+    u(-k) = u(k)* to the rest exactly, in one masked copy.  A model with a
+    complex hopping has no such symmetry, and every k is solved.
 
-    Each phase exp(-i k_d o) is read from a table of the N_d-th roots of
-    unity (:func:`_roots_of_unity`) at the grid index (m_d |o|) mod N_d,
-    conjugated for o < 0, so a self-partner k (every component 0 or pi)
-    gets phases of exactly +-1 and, with real hoppings, an exactly real
-    block and real vectors."""
+    Each phase exp(-i k_d o) is ``lattice._unit_phases(o k_d)`` over the
+    N_d values of axis d, read at the grid index: the phase
+    ``bloch_hamiltonian`` takes, so the solved blocks equal
+    ``bloch_hamiltonian(model, k_grid)`` bit for bit, and at a self-partner
+    k (every component 0 or pi) they are as real as the hoppings."""
     k_grid = default_k_grid(model)
-    n_k, Q = len(k_grid), model.Q
-    real = _is_real(model)
-    roots = [_roots_of_unity(n) for n in model.shape]
-    w = np.empty((Q, n_k))
-    V = np.empty((Q, Q, n_k), dtype=complex) if vectors else None
-    for a, b in _pair_representatives(model.shape) if real else [(0, n_k)]:
+    n_k, Q, shape = len(k_grid), model.Q, model.shape
+    axes = tuple(range(-model.dim, 0))
+
+    def mirror(a: np.ndarray) -> np.ndarray:
+        return np.roll(np.flip(a, axes), 1, axes)
+
+    solved = np.ones(shape, dtype=bool)
+    if _is_real(model):
+        # flat index m <= that of -m mod N: lexicographic, last axis first
+        for d in reversed(range(model.dim)):
+            j = np.arange(shape[d])
+            lower, self_partner = j < -j % shape[d], j == -j % shape[d]
+            tail = (-1,) + (1,) * (model.dim - 1 - d)
+            solved = lower.reshape(tail) | (self_partner.reshape(tail)
+                                            & solved)
+    # k_d along axis d: the grid with every other cell index 0
+    k_axes = [k_grid.reshape(shape + (model.dim,))[
+        (0,) * d + (slice(None),) + (0,) * (model.dim - 1 - d) + (d,)]
+        for d in range(model.dim)]
+    table = functools.cache(lambda d, o: _unit_phases(o * k_axes[d]))
+    w = np.empty((Q,) + shape)
+    V = np.empty((Q, Q) + shape, dtype=complex) if vectors else None
+    w_flat = w.reshape(Q, n_k)
+    V_flat = V.reshape(Q, Q, n_k) if vectors else None
+    edges = np.flatnonzero(np.diff(solved.reshape(-1), prepend=False,
+                                   append=False))
+    for a, b in edges.reshape(-1, 2):
         for start in range(a, b, _BLOCH_CHUNK):
             part = slice(start, min(start + _BLOCH_CHUNK, b))
-            m = np.unravel_index(np.arange(part.start, part.stop), model.shape)
-
-            def phase(d: int, o: int) -> np.ndarray:
-                p = roots[d][m[d] * abs(o) % model.shape[d]]
-                return p if o > 0 else p.conj()
-
-            H = _bloch_blocks(model, phase, part.stop - part.start)
-            w[:, part], V_part = _jacobi_eigh(np.moveaxis(H, 2, 0), vectors)
+            m = np.unravel_index(np.arange(part.start, part.stop), shape)
+            H = _bloch_blocks(model, lambda d, o: table(d, o)[m[d]],
+                              part.stop - part.start)
+            w_flat[:, part], V_part = _jacobi_eigh(np.moveaxis(H, 2, 0),
+                                                   vectors)
             if vectors:
-                V[..., part] = V_part
-    if real:
-        _copy_to_partners(w.reshape((Q,) + model.shape), 1)
+                V_flat[..., part] = V_part
+    if not solved.all():
+        np.copyto(w, mirror(w), where=~solved)
         if vectors:
-            _copy_to_partners(V.reshape((Q, Q) + model.shape), 2, conj=True)
+            V_mirror = mirror(V)
+            np.copyto(V, np.conj(V_mirror, out=V_mirror), where=~solved)
     if not vectors:
-        return k_grid, w, None
-    return k_grid, w, np.ascontiguousarray(V.transpose(2, 0, 1))
+        return k_grid, w_flat, None
+    return k_grid, w_flat, np.ascontiguousarray(V_flat.transpose(2, 0, 1))
 
 
 def band_structure(model: LatticeModel) -> BandStructure:

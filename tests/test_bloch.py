@@ -134,15 +134,22 @@ def test_bloch_basis_is_one_full_grid_eigh(model):
         assert np.array_equal(u[mirrored], u[partner[mirrored]].conj())
 
 
-@pytest.mark.parametrize("model", BLOCH_MODELS, ids=lambda m: f"{m.name}{m.shape}")
+@pytest.mark.parametrize("model", BLOCH_MODELS + [
+    build_stub(22, Delta=0.0), build_checkerboard(22, 26), build_sawtooth(30),
+    build_kagome1d(44)], ids=lambda m: f"{m.name}{m.shape}")
 def test_bands_and_bloch_basis_share_one_solve(model, monkeypatch):
     """``bloch_basis`` and ``band_structure`` take their energies from one
-    Jacobi solve, bit for bit: one k of each {k, -k} pair with real
-    hoppings, every k with a complex one (the flux sawtooth)."""
+    Jacobi solve, bit for bit.  The blocks it is handed are
+    ``bloch_hamiltonian`` on ``default_k_grid`` bit for bit, at the lower
+    flat index of each {k, -k} pair (cell index m -> -m mod N) in ascending
+    order with real hoppings, and at every k with a complex one (the flux
+    sawtooth).  Stub 22, checkerboard 22 x 26, sawtooth 30 and kagome1d 44
+    have a grid point at k = pi or pi/2 that 2 pi m / N alone misses by an
+    ulp."""
     solved = {False: [], True: []}
 
     def spy(H, vectors=False):
-        solved[vectors].append(H.shape[0])
+        solved[vectors].append(H.copy())
         return jacobi(H, vectors)
 
     jacobi = spectrum._jacobi_eigh
@@ -150,16 +157,19 @@ def test_bands_and_bloch_basis_share_one_solve(model, monkeypatch):
     basis = bloch_basis.__wrapped__(model)
     bands = band_structure(model).bands
     assert np.array_equal(basis.w, bands.T.reshape(-1))
+    ks = default_k_grid(model)
     cells = np.indices(model.shape).reshape(model.dim, -1)
     partner = np.ravel_multi_index(tuple(-cells), model.shape, mode="wrap")
-    n_pairs = np.count_nonzero(np.arange(model.n_cells) <= partner)
-    expected = n_pairs if _is_real(model) else model.n_cells
-    assert solved[True] == solved[False] and sum(solved[False]) == expected
+    solved_k = (np.arange(len(ks)) <= partner) | (not _is_real(model))
+    expected = bloch_hamiltonian(model, ks[solved_k]).tobytes()
+    for vectors in (False, True):
+        assert np.concatenate(solved[vectors]).tobytes() == expected
 
 
 @pytest.mark.parametrize("model", [
     build_sawtooth(6), build_stub(6), build_kagome1d(6),
-    build_checkerboard(4, 4), build_checkerboard(6, 5)],
+    build_checkerboard(4, 4), build_checkerboard(6, 5),
+    build_stub(22, Delta=0.0), build_checkerboard(22, 26)],
     ids=lambda m: f"{m.name}{m.shape}")
 def test_self_partner_blocks_and_vectors_are_real(model, monkeypatch):
     """At a self-partner k (every component 0 or pi) the phases are exactly
@@ -276,6 +286,30 @@ def test_pole_guard_on_bloch_path(model, index, frac):
             sigma(omega)
         with pytest.raises(PoleProximity):
             self_energy(model, chi[:, None])([omega])
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("bloch", [False, True], ids=["dense", "bloch"])
+def test_nonfinite_omega_is_rejected(omega, bloch):
+    """A non-finite omega, alone or in one column, is a ValueError on both
+    bases: the pole guard min|omega - w| < guard is false for nan, and an
+    infinite omega would give a zero resolvent (a "bound state" with
+    c_e = 1)."""
+    model = build_sawtooth(20)
+    chi = _chi(model, "site", 1)
+    em = small_atom(model, 0.0, 0.1, 10, "a")
+    with bloch_path() if bloch else contextlib.nullcontext():
+        assert (spectral_basis(model) is bloch_basis(model)) == bloch
+        sigma = self_energy(model, np.stack([chi, chi], axis=1))
+        with pytest.raises(ValueError, match="not finite"):
+            resolvent_vector(model, omega, chi)
+        with pytest.raises(ValueError, match="not finite"):
+            self_energy(model, chi)(omega)
+        with pytest.raises(ValueError, match="not finite"):
+            sigma([10.0 * model.J, omega])
+        with pytest.raises(ValueError, match="not finite"):
+            bs_wavefunction(model, em, omega_bs=omega)
 
 
 def test_clean_model_above_threshold_never_calls_eigensystem():

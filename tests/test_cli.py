@@ -266,6 +266,15 @@ def test_disorder_without_seeds_is_an_empty_table(capsys):
     assert out.splitlines() == ["seed,n_flat_modes,fb_width"]
 
 
+def test_xi_compare_in_2d_exit_2(capsys):
+    """The closed form is 1D only: --compare with --dim 2 is an error, not
+    a table without the columns it asked for."""
+    code, out, err = run(["xi", "--alpha", "0.15", "--dim", "2",
+                          "--max-dist", "3", "--compare"], capsys)
+    assert code == 2
+    assert out == "" and "ConfigError" in err and "--compare" in err
+
+
 @pytest.mark.parametrize("flags,code", [
     (["--alpha", "0.6"], 3),
     (["--alpha", "-0.7"], 3),

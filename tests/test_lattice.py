@@ -139,7 +139,8 @@ def test_bloch_batch_equals_per_k_calls(model):
                           H[:6].reshape(2, 3, model.Q, model.Q))
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+@pytest.mark.parametrize("model", ALL_MODELS + [build_stub(22, Delta=0.0)],
+                         ids=lambda m: m.name)
 def test_band_structure_equals_per_k_eigh(model):
     """The bands at every k are ascending and within 32 Q eps max|H_k| of
     that k's own eigvalsh; the partner of each representative k (the lower
