@@ -32,7 +32,8 @@ class EmitterSpec:
     """Transition frequency and coupling pattern of one emitter.
 
     ``couplings`` is a nonempty tuple of (flat site index, complex amplitude);
-    one entry makes a small atom, several make a giant atom."""
+    one entry makes a small atom, several make a giant atom.  Amplitudes on
+    a repeated site add up."""
 
     omega0: float
     couplings: tuple[tuple[int, complex], ...]
@@ -43,10 +44,21 @@ class EmitterSpec:
         if not (math.isfinite(self.omega0)
                 and all(cmath.isfinite(g) for _x, g in self.couplings)):
             raise ValueError("emitter omega0 and couplings must be finite")
+        try:
+            finite = math.isfinite(self.gbar ** 2)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("emitter coupling strength gbar^2 overflows")
 
     @property
     def gbar(self) -> float:
-        return math.sqrt(sum(abs(g) ** 2 for _x, g in self.couplings))
+        """Norm of the coupling vector, the amplitudes of a repeated site
+        summed in coupling order."""
+        summed: dict[int, complex] = {}
+        for x, g in self.couplings:
+            summed[x] = summed.get(x, 0) + g
+        return math.sqrt(sum(abs(g) ** 2 for g in summed.values()))
 
     def chi(self, n_sites: int) -> np.ndarray:
         """Normalized site state |chi>, chi(x_l) = g_l / gbar.

@@ -153,22 +153,6 @@ def xi_analytic_1d(alpha: float, delta_n: int) -> float:
     return sign * pref * math.exp(-d / lambda_1d(a))
 
 
-def xi_2d_poles(alpha: float) -> tuple[float, float]:
-    """The two real singularities (inside the unit circle) that govern the
-    on-axis decay of the 2D weight function, for 0 < alpha < 1/4:
-
-        z_1 = (2a - 1 + sqrt(1 - 4a)) / (2a),
-        z_2 = (-(2a + 1) + sqrt(1 + 4a)) / (2a).
-
-    |z_1| = exp(-1/lambda_2d) and |z_2| = exp(-1/lambda'_2d)."""
-    a = float(alpha)
-    if not 0.0 < a < 0.25:
-        raise ValueError("poles defined for 0 < alpha < 1/4")
-    z1 = (2.0 * a - 1.0 + math.sqrt(1.0 - 4.0 * a)) / (2.0 * a)
-    z2 = (-(2.0 * a + 1.0) + math.sqrt(1.0 + 4.0 * a)) / (2.0 * a)
-    return z1, z2
-
-
 def xi_2d_axis(alpha: float, d: int) -> float:
     """Exact on-axis 2D weight function xi(d, 0) for isotropic |alpha| < 1/4.
 
@@ -178,17 +162,17 @@ def xi_2d_axis(alpha: float, d: int) -> float:
                 sqrt((t1 - t)(t - t2)(1/t1 - t)(1/t2 - t)),   a = |alpha|,
 
     which is positive and non-oscillatory, so the relative accuracy is
-    preserved even deep in the exponential tail.  Asymptotically
-    |xi(d+1)/xi(d)| -> exp(-1/lambda_2d) (the slower branch point).  With
-    t = mid + half cos(theta) the integrand is analytic in cos(theta), so the
-    midpoint rule in theta converges exponentially: one O(n) sum per call."""
+    preserved even deep in the exponential tail.  The branch points are
+    t_i = exp(-1/lambda_i) from :func:`lambda_2d`, so |xi(d+1)/xi(d)| -> t1.
+    With t = mid + half cos(theta) the integrand is analytic in cos(theta), so
+    the midpoint rule in theta converges exponentially: one O(n) sum per call."""
     a, = _alphas(alpha)
     if a == 0.0:
         raise ValueError("alpha = 0: xi is a Kronecker delta; no 2D law")
     if not abs(a) < 0.25:
         raise SingularF("|alpha| >= 1/4: f(k) vanishes in the Brillouin zone")
     d = abs(int(_offsets(d)))
-    t1, t2 = (-z for z in xi_2d_poles(abs(a)))      # 0 < t2 < t1 < 1
+    t1, t2 = (math.exp(-1.0 / lam) for lam in lambda_2d(a))   # 0 < t2 < t1 < 1
     n = AXIS_QUADRATURE_NODES
     theta = np.pi * (np.arange(n) + 0.5) / n
     t = 0.5 * (t1 + t2) + 0.5 * (t1 - t2) * np.cos(theta)

@@ -15,8 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from flatqed.boundstate import BoundStateResult, EmitterSpec, bs_wavefunction
+from flatqed.errors import PoleProximity
 from flatqed.flatband import cls_set, reconstruct_from_weights
-from flatqed.greens import fb_weights
+from flatqed.greens import POLE_GUARD, fb_weights
 from flatqed.interactions import InteractionMatrix, _common_emitters
 from flatqed.lattice import LatticeModel
 
@@ -125,9 +126,14 @@ def giant_interaction(model: LatticeModel,
     Exact when every chi lies in the FB eigenspace (the resolvent acts as the
     scalar 1/(omega0 - omega_FB) there); all emitters are checked in one
     amplitude pass and a warning raised otherwise.  The emitters must share
-    omega0 and |g|, as for :func:`~flatqed.interactions.interaction_matrix`."""
+    omega0 and |g|, as for :func:`~flatqed.interactions.interaction_matrix`.
+    An omega0 within ``POLE_GUARD`` of omega_FB raises :class:`PoleProximity`,
+    as the resolvent does."""
     emitters, omega0, gbar = _common_emitters(model, emitters)
     omega_fb = cls_set(model).omega_fb
+    if abs(omega0 - omega_fb) < POLE_GUARD * model.J:
+        raise PoleProximity(
+            f"omega0 = {omega0} within {POLE_GUARD * model.J} of the flat band")
     chis = np.column_stack([em.chi(model.n_sites) for em in emitters])
     _warn_if_outside_flat_band(model, chis)
     gram = chis.conj().T @ chis

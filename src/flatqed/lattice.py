@@ -46,8 +46,9 @@ class DisorderSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("diagonal", "off-diagonal"):
             raise ConfigError(f"unknown disorder kind {self.kind!r}")
-        if not (math.isfinite(self.strength) and self.strength >= 0):
-            raise ConfigError("disorder strength must be finite and >= 0")
+        if not (math.isfinite(2.0 * self.strength) and self.strength >= 0):
+            raise ConfigError("disorder strength must be finite and >= 0, "
+                              "with the draw's width 2 * strength finite")
         if (not isinstance(self.seed, (int, np.integer))
                 or isinstance(self.seed, bool) or self.seed < 0):
             raise ConfigError(f"disorder seed must be an integer >= 0, "
@@ -67,12 +68,13 @@ class ClsSet:
     @property
     def alphas(self) -> tuple[float, ...]:
         """Signed nearest-neighbour overlaps <phi_0|phi_{e_d}> per direction d:
-        the sum of c c' over stencil entries on the same sublattice whose
-        offsets differ by e_d."""
+        the sum of conj(c) c' over stencil entries on the same sublattice
+        whose offsets differ by e_d (c the phi_0 coefficient)."""
         dim = len(self.stencil[0][1])
         steps = [tuple(int(i == d) for i in range(dim)) for d in range(dim)]
         return tuple(
-            sum((c * cp for s, o, c in self.stencil for sp, op, cp in self.stencil
+            sum((c.conjugate() * cp
+                 for s, o, c in self.stencil for sp, op, cp in self.stencil
                  if s == sp and tuple(a - b for a, b in zip(o, op)) == step), 0.0)
             for step in steps)
 

@@ -8,7 +8,9 @@ from flatqed.boundstate import (BoundStateResult, EmitterSpec, bs_profile,
                                 bs_wavefunction,
                                 localization_length_fit, omega0_for_detuning,
                                 pole_residual, small_atom, solve_pole)
+from flatqed.dynamics import evolve
 from flatqed.errors import InsufficientData, NoRootInGap
+from flatqed.interactions import interaction_matrix
 from flatqed.lattice import (build_chain, build_checkerboard,
                              build_kagome1d, build_sawtooth, build_stub,
                              real_space_hamiltonian, site_index)
@@ -182,6 +184,41 @@ def test_emitter_validation():
     em = EmitterSpec(omega0=0.0, couplings=((99, 1.0),))
     with pytest.raises(ValueError):
         em.chi(10)
+
+
+@pytest.mark.parametrize("couplings", [((0, 1e300),),
+                                       ((0, 1e200), (1, 1e200)),
+                                       ((0, 1.5e308), (0, 1.5e308))],
+                         ids=["one", "sum-of-squares", "summed-site"])
+def test_overflowing_gbar_is_rejected(couplings):
+    """A finite coupling whose gbar^2 overflows is a ValueError, not an
+    OverflowError from the first square."""
+    with pytest.raises(ValueError, match="overflows"):
+        EmitterSpec(omega0=0.0, couplings=couplings)
+
+
+def test_repeated_site_couplings_add_up():
+    """gbar is the norm of the summed coupling vector, so an emitter that
+    names a site twice is the emitter with the summed amplitude, bit for bit,
+    in the pole, the wavefunction, K and the dynamics (with the unsummed
+    norm, chi was not a unit vector and the pole bracket missed the root)."""
+    model = build_chain(50)
+    omega0 = omega0_for_detuning(model, 0.1, reference="lower_edge")
+    split = [EmitterSpec(omega0, ((x, 10.0), (x, 10.0))) for x in (25, 28)]
+    merged = [EmitterSpec(omega0, ((x, 20.0),)) for x in (25, 28)]
+    assert split[0].gbar == merged[0].gbar == 20.0
+    assert np.array_equal(split[0].chi(50), merged[0].chi(50))
+    pole = solve_pole(model, split[0])
+    assert pole == solve_pole(model, merged[0])
+    assert pole == pytest.approx(-21.12256126, abs=1e-8)
+    assert np.array_equal(bs_wavefunction(model, split[0]).psi,
+                          bs_wavefunction(model, merged[0]).psi)
+    for exact in (False, True):
+        assert np.array_equal(interaction_matrix(model, split, exact).K,
+                              interaction_matrix(model, merged, exact).K)
+    t = np.linspace(0.0, 2.0, 21)
+    assert np.array_equal(evolve(model, split, 0, t).atom_populations,
+                          evolve(model, merged, 0, t).atom_populations)
 
 
 @pytest.mark.filterwarnings("error")

@@ -228,6 +228,29 @@ def test_nonfinite_parameter_exit_2(argv, capsys):
     assert caught == []
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["boundstate", "--model", "sawtooth", "--N", "20", "--site", "a:3",
+      "--delta", "1e-3", "--g", "1e300"], "ValueError: emitter coupling"),
+    (["disorder", "--model", "stub", "--N", "10", "--kind", "diagonal",
+      "--strength", "1e308", "--seeds", "1"], "ConfigError: disorder strength"),
+], ids=["g-squared-overflows", "draw-width-overflows"])
+def test_finite_parameter_that_overflows_exit_2(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["giants", "--model", "sawtooth", "--N", "40", "--omega0", "-2",
+     "--cls", "10", "--cls", "11"],
+    ["giants", "--model", "stub", "--N", "20", "--omega0", "0", "--cls", "3"],
+], ids=["sawtooth", "stub"])
+def test_giants_at_the_flat_band_exit_3(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 3
+    assert out == "" and "PoleProximity" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["xi", "--alpha", "0.2", "--max-dist", "-1"],
     ["loclen", "--model", "sawtooth", "--N", "20", "--delta", "0.01",

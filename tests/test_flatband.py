@@ -11,7 +11,7 @@ from cls_reference import cls_vector
 from flatqed.flatband import (ClsSet, bs_cls_weights, cls_set, lambda_1d,
                               lambda_2d, projector_cls_expansion,
                               reconstruct_from_weights, settsech, xi_2d_axis,
-                              xi_2d_poles, xi_analytic_1d, xi_numeric)
+                              xi_analytic_1d, xi_numeric)
 from flatqed.greens import fb_projector
 from flatqed.lattice import (DisorderSpec, apply_disorder, build_chain,
                              build_checkerboard, build_double_comb,
@@ -118,6 +118,22 @@ def test_alphas_closed_forms(model, alphas):
     assert cls_set(model).alphas == pytest.approx(alphas, abs=1e-15)
 
 
+def test_alphas_conjugate_the_phi0_coefficient():
+    """alpha is <phi_0|phi_1>, so a gauge phase on one sublattice leaves it
+    alone: the stencil with i/2 on sublattice 0 overlaps as the real one
+    does, 1/2, where the unconjugated sum of c c' gives 0."""
+    real = ClsSet(0.0, ((0, (0,), 0.5), (0, (1,), 0.5),
+                        (1, (0,), 0.5), (1, (1,), 0.5)))
+    gauged = ClsSet(0.0, ((0, (0,), 0.5j), (0, (1,), 0.5j),
+                          (1, (0,), 0.5), (1, (1,), 0.5)))
+    assert real.alphas == gauged.alphas == (0.5,)
+    model = build_sawtooth(8)
+    phi0, phi1 = (reconstruct_from_weights(
+        gauged, model, np.eye(1, model.n_cells, n, dtype=complex))
+        for n in (0, 1))
+    assert np.vdot(phi0, phi1) == gauged.alphas[0]
+
+
 def test_cls_set_needs_a_flat_band_builder():
     with pytest.raises(UnsupportedLattice, match="chain"):
         cls_set(build_chain(8))
@@ -199,21 +215,22 @@ def test_lambda_2d_values():
     assert lamp == pytest.approx(0.567296, abs=1e-5)
 
 
-def test_xi_2d_poles_consistent_with_lengths():
-    a = 0.2
-    z1, z2 = xi_2d_poles(a)
-    lam, lamp = lambda_2d(a)
-    assert abs(z1) == pytest.approx(math.exp(-1.0 / lam), rel=1e-12)
-    assert abs(z2) == pytest.approx(math.exp(-1.0 / lamp), rel=1e-12)
-    assert z1 < 0 and z2 < 0
-
-
 @pytest.mark.parametrize("alpha", [0.05, 0.15, -0.2])
 def test_xi_2d_axis_matches_numeric(alpha):
     for d in range(0, 7):
         num = xi_numeric((alpha, alpha), (d, 0), n_k=512)
         ana = xi_2d_axis(alpha, d)
         assert ana == pytest.approx(num, rel=1e-8, abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha, d, rel", [(1e-8, 0, 1e-12), (1e-6, 0, 1e-12),
+                                           (1e-4, 0, 1e-12), (1e-4, 1, 1e-11)])
+def test_xi_2d_axis_accurate_at_small_alpha(alpha, d, rel):
+    """Toward the cavity-QED end (xi -> Kronecker delta) the branch points
+    t_i = exp(-1/lambda_i) carry no cancellation: the on-axis form meets
+    the Brillouin-zone sum to round-off."""
+    assert xi_2d_axis(alpha, d) == pytest.approx(
+        xi_numeric((alpha, alpha), (d, 0), n_k=256), rel=rel, abs=0.0)
 
 
 def test_xi_2d_default_grid_matches_axis_form():
@@ -316,15 +333,14 @@ def test_xi_2d_axis_deep_tail_stable():
     """The branch-cut quadrature keeps relative accuracy at large distance:
     successive ratios converge to the slow branch point."""
     a = 0.2
-    z1, _z2 = xi_2d_poles(a)
+    lam, _lamp = lambda_2d(a)
     r30 = xi_2d_axis(a, 31) / xi_2d_axis(a, 30)
-    assert r30 == pytest.approx(z1, rel=2e-2)
+    assert r30 == pytest.approx(-math.exp(-1.0 / lam), rel=2e-2)
 
 
 def _xi_2d_axis_reference(alpha, d, n=4096):
     """The branch-cut integral of xi_2d_axis on n midpoint nodes."""
-    z1, z2 = xi_2d_poles(abs(alpha))
-    t1, t2 = -z1, -z2
+    t1, t2 = (math.exp(-1.0 / lam) for lam in lambda_2d(alpha))
     theta = np.pi * (np.arange(n) + 0.5) / n
     t = 0.5 * (t1 + t2) + 0.5 * (t1 - t2) * np.cos(theta)
     integral = np.sum(t ** d / np.sqrt((1 / t1 - t) * (1 / t2 - t))) * np.pi / n

@@ -5,6 +5,7 @@ import pytest
 
 from cls_reference import cls_vector
 from flatqed.boundstate import EmitterSpec, small_atom
+from flatqed.errors import PoleProximity
 from flatqed.flatband import cls_set
 from flatqed.giant import (cls_emitter, cls_superposition_emitter,
                            envelope_emitter, fb_membership_defect,
@@ -213,6 +214,17 @@ def test_giant_interaction_validates():
     e3 = cls_emitter(model, -1.9, 3e-3, 6)
     with pytest.raises(ValueError, match="identical"):
         giant_interaction(model, [e1, e3])
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.5e-12, -0.5e-12])
+def test_giant_interaction_at_the_flat_band_is_a_pole(offset):
+    """omega0 within POLE_GUARD of omega_FB raises PoleProximity, as the
+    resolvent does, not a ZeroDivisionError or an unbounded K."""
+    model = build_sawtooth(20, J=2.0)
+    omega0 = cls_set(model).omega_fb + offset * model.J
+    emitters = [cls_emitter(model, omega0, 1e-3, n) for n in (4, 5)]
+    with pytest.raises(PoleProximity, match="flat band"):
+        giant_interaction(model, emitters)
 
 
 @pytest.mark.filterwarnings("error")

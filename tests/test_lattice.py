@@ -244,8 +244,9 @@ def test_nonfinite_builder_params_are_rejected_by_the_model(model, params):
         model_from_spec({"model": model, "N": 8, "params": params})
 
 
-@pytest.mark.parametrize("strength", [math.nan, math.inf, -0.1])
+@pytest.mark.parametrize("strength", [math.nan, math.inf, -0.1, 1e308])
 def test_disorder_strength_must_be_finite_and_nonnegative(strength):
+    """1e308 is finite, but the draw's width 2 * strength is not."""
     with pytest.raises(ConfigError, match="strength"):
         DisorderSpec("diagonal", strength, seed=0)
 
