@@ -106,10 +106,12 @@ def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
 
 
 def settsech(x: float) -> float:
-    """Inverse hyperbolic secant: settsech(x) = ln((1 + sqrt(1 - x^2)) / x)."""
+    """Inverse hyperbolic secant: settsech(x) = ln((1 + sqrt(1 - x^2)) / x),
+    evaluated as log1p((1 - x + sqrt((1 - x)(1 + x))) / x): 1 - x is exact
+    near x = 1, where 1 - x^2 from the rounded x^2 is not."""
     if not 0.0 < x <= 1.0:
         raise ValueError("settsech defined for 0 < x <= 1")
-    return math.log((1.0 + math.sqrt(1.0 - x * x)) / x)
+    return math.log1p((1.0 - x + math.sqrt((1.0 - x) * (1.0 + x))) / x)
 
 
 def lambda_1d(alpha: float) -> float:
@@ -121,19 +123,23 @@ def lambda_1d(alpha: float) -> float:
 
 
 def lambda_2d(alpha: float) -> tuple[float, float]:
-    """The two 2D axis localization lengths (isotropic overlap alpha):
+    """The two 2D axis localization lengths (isotropic overlap alpha), with
+    a = |alpha|:
 
-        1/lambda_2d  = settsech|2 alpha / (1 - 2 alpha)|,
-        1/lambda'_2d = settsech|2 alpha / (1 + 2 alpha)|.
+        1/lambda_2d  = settsech(2a / (1 - 2a)),
+        1/lambda'_2d = settsech(2a / (1 + 2a)).
 
-    lambda_2d diverges as |alpha| -> 1/4 while lambda'_2d stays finite."""
+    lambda_2d diverges as a -> 1/4 while lambda'_2d stays finite.  The first
+    is evaluated as 1/lambda_2d = log1p(s (1 + s) / (2a)) with
+    s = sqrt(1 - 4a), where 1 - 4a is exact, so it keeps its accuracy up to
+    a = 1/4, where lambda_2d = inf."""
     a = abs(alpha)
     if not 0.0 < a <= 0.25:
         raise ValueError("lambda_2d requires 0 < |alpha| <= 1/4")
-    x1 = 2.0 * a / (1.0 - 2.0 * a)
-    x2 = 2.0 * a / (1.0 + 2.0 * a)
-    lam1 = math.inf if x1 >= 1.0 else 1.0 / settsech(x1)
-    lam2 = 1.0 / settsech(x2)
+    s = math.sqrt(1.0 - 4.0 * a)
+    lam1 = (math.inf if s == 0.0
+            else 1.0 / math.log1p(s * (1.0 + s) / (2.0 * a)))
+    lam2 = 1.0 / settsech(2.0 * a / (1.0 + 2.0 * a))
     return lam1, lam2
 
 
@@ -141,6 +147,9 @@ def xi_analytic_1d(alpha: float, delta_n: int) -> float:
     """Closed form of the 1D weight function:
 
         xi(dn) = (-sgn alpha)^{|dn|} / sqrt(1 - 4 alpha^2) * exp(-|dn| / lambda_1d)
+
+    with 1 - 4 alpha^2 taken as (1 - 2 alpha)(1 + 2 alpha), whose small
+    factor is exact near |alpha| = 1/2.
     """
     a = float(alpha)
     if not abs(a) < 0.5:
@@ -148,7 +157,7 @@ def xi_analytic_1d(alpha: float, delta_n: int) -> float:
     d = abs(int(_offsets(delta_n)))
     if a == 0.0:
         return 1.0 if d == 0 else 0.0
-    pref = 1.0 / math.sqrt(1.0 - 4.0 * a * a)
+    pref = 1.0 / math.sqrt((1.0 - 2.0 * a) * (1.0 + 2.0 * a))
     sign = (-1.0 if a > 0 else 1.0) ** d
     return sign * pref * math.exp(-d / lambda_1d(a))
 

@@ -25,13 +25,13 @@ bond list, gives every eigenpair and its exact zero modes (Lieb, PRL 62,
 models stay on ``eigh`` while the recorded 1D decay lengths pin its
 round-off (see :func:`eigensystem`).  Larger clean models use the Bloch
 basis (:func:`bloch_basis`): the Q x Q Bloch blocks on the commensurate
-k-grid, exactly ``lattice.bloch_hamiltonian`` at each k, solved by batched
-Jacobi rotations at the lower index of each {k, -k} pair (the solve
-``spectrum.band_structure`` shares) and reached from site space
-by FFTs over the cell axes, so no N x N matrix is ever formed (lattice
-Green's functions as Bloch sums; Economou, *Green's Functions in Quantum
-Physics*).  The dense eigensystem stays the oracle and the basis of the
-dense flat-band projector.
+k-grid, exactly ``lattice.bloch_hamiltonian`` at each k, solved at the
+lower index of each {k, -k} pair, in closed form for Q <= 2 and by
+``eigh`` for Q >= 3 (the solve ``spectrum.band_structure`` shares), and
+reached from site space by FFTs over the cell axes, so no N x N matrix is
+ever formed (lattice Green's functions as Bloch sums; Economou, *Green's
+Functions in Quantum Physics*).  The dense eigensystem stays the oracle
+and the basis of the dense flat-band projector.
 """
 
 from __future__ import annotations
@@ -264,8 +264,9 @@ def bloch_basis(model: LatticeModel) -> SpectralBasis:
     """Eigenbasis of a clean model from its Bloch blocks on the commensurate
     k-grid, cached per model like :func:`eigensystem` (an entry holds
     O(Q N) numbers, not N^2).  The blocks, ``bloch_hamiltonian`` on
-    ``default_k_grid`` bit for bit, are solved by ``spectrum._bloch_eigh``:
-    batched Jacobi rotations at the lower index of each {k, -k} pair, with
+    ``default_k_grid`` bit for bit, are solved by ``spectrum._bloch_eigh``
+    (the closed form for Q <= 2 and ``eigh`` for Q >= 3, over batches of
+    k-points) at the lower index of each {k, -k} pair, with
     u(-k) = u(k)* copied to the partner by one mirror of the grid when the
     hoppings are real, and at every k with a complex hopping.  At a
     self-partner k (every component 0 or pi) the phases are exactly +-1, so

@@ -460,7 +460,8 @@ def bloch_hamiltonian(model: LatticeModel,
     component), exact at the quarter turns (:func:`_unit_phases`); a single
     k is evaluated as a batch of one, so it matches its row of any batch
     bit for bit.  The result is a view of entry-major storage: each
-    H[..., nu, nup] is one contiguous array over the batch.  The blocks are
+    H[..., nu, nup] is one contiguous array over the batch, as the Q = 2
+    closed form of ``spectrum._block_eigh`` reads it.  The blocks are
     assembled by :func:`_bloch_blocks`, which ``spectrum._bloch_eigh``
     shares with the same phases tabulated per axis of ``default_k_grid``,
     so its solved blocks are this function's on that grid bit for bit.
@@ -491,7 +492,9 @@ def _bloch_blocks(model: LatticeModel,
                   phase: Callable[[int, int], np.ndarray],
                   n: int) -> np.ndarray:
     """Entry-major Bloch blocks of shape (Q, Q, n) for a batch of n
-    wavevectors, ``phase(d, o)`` giving exp(-i k_d o) over the batch; it is
+    wavevectors (each entry one contiguous array over the batch, which the
+    vectorized Q = 2 closed form reads; ``eigh`` takes a strided view),
+    ``phase(d, o)`` giving exp(-i k_d o) over the batch; it is
     called once per distinct (axis, non-zero offset component).  Both
     callers take the phase as :func:`_unit_phases` of o k_d, per k or read
     from a per-axis table."""

@@ -9,8 +9,8 @@ index, so each solved block is ``bloch_hamiltonian`` at that k bit for bit.
 With real hoppings H(-k) = H(k)*: one mirror of the grid axes, cell m to
 cell -m mod N, picks the lower index of each {k, -k} pair to solve and
 gives its partner the same energies and the conjugate vectors.  The solver
-is :func:`_jacobi_eigh`, cyclic Jacobi rotations vectorized over a batch of
-k-points, so no per-block LAPACK call is made.
+is :func:`_block_eigh`: the closed form for Q <= 2, vectorized over a batch
+of k-points, and ``eigh`` for Q >= 3.
 """
 
 from __future__ import annotations
@@ -60,108 +60,57 @@ def default_k_grid(model: LatticeModel) -> np.ndarray:
     return k.reshape(-1, model.dim)
 
 
-_JACOBI_SWEEPS = 40   # cyclic sweeps before a batch counts as not converging
-_BLOCH_CHUNK = 2048   # k-points per Jacobi batch
+_BLOCH_CHUNK = 2048   # k-points per batch of blocks
 
 
-def _jacobi_eigh(H: np.ndarray, vectors: bool = False
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
+def _block_eigh(H: np.ndarray, vectors: bool = False
+                ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigenvalues (and, with ``vectors``, eigenvectors) of a batch of
-    Hermitian Q x Q blocks H of shape (n, Q, Q), by cyclic Jacobi rotations
-    vectorized over the batch (Demmel & Veselic, SIAM J. Matrix Anal. Appl.
-    13, 1204 (1992)).
+    Hermitian Q x Q blocks H of shape (n, Q, Q).
 
     Returns w of shape (Q, n), ascending down each column, and V of shape
     (Q, Q, n), or ``None`` without ``vectors``, with H_k V_k = V_k diag(w_k).
-    Only the diagonal and the upper triangle of H are read, each entry as
-    one contiguous (n,) array.  Rotation (p, q), with b = h_pq = |b| u,
-    takes t = sgn(zeta)/(|zeta| + sqrt(1 + zeta^2)) for
-    zeta = (h_qq - h_pp)/(2|b|), evaluated as
-    2|b| sgn(zeta)/(|h_qq - h_pp| + hypot(h_qq - h_pp, 2|b|)) so that
-    nothing is squared, and c = 1/sqrt(1 + t^2), s = t c.  It sets
-    h_pp -= t|b|, h_qq += t|b| and h_pq = 0, and maps every other row r to
-
-        h_rp <- c h_rp - s conj(u) h_rq,    h_rq <- s u h_rp + c h_rq,
-
-    and the columns of V alike.  A pair is skipped when every block has
-    |h_pq| <= eps max|H_k|, and a sweep that skips every pair ends the
-    iteration; for Q = 2 the one rotation is the closed form.  A block with
-    a non-finite entry, or a batch still rotating after ``_JACOBI_SWEEPS``
-    sweeps, raises ``np.linalg.LinAlgError``, as ``eigh`` does."""
+    Q = 1 is the diagonal.  Q = 2 is one Jacobi rotation in closed form,
+    reading h_00, h_11 and b = h_01 = |b| u as contiguous (n,) arrays: with
+    delta = h_11 - h_00, t = 2|b| sgn(delta)/(|delta| + hypot(delta, 2|b|))
+    (nothing is squared) and c = 1/sqrt(1 + t^2), s = t c, the eigenpairs
+    are h_00 - t|b| with (c, -s conj(u)) and h_11 + t|b| with (s u, c), put
+    in ascending order by one compare-and-swap.  Q >= 3 is ``eigh``, which
+    also computes the vectors when only energies are asked for, so that w
+    does not depend on ``vectors`` (``eigvalsh`` rounds differently).  A
+    block with a non-finite entry raises ``np.linalg.LinAlgError``, as
+    ``eigh`` does, before any arithmetic on it."""
     n, Q = H.shape[0], H.shape[-1]
-    d = H.diagonal(axis1=1, axis2=2).real.T.copy()
-    pairs = [(p, q) for p in range(Q) for q in range(p + 1, Q)]
-    h = {(p, q): H[:, p, q].copy() for p, q in pairs}
-    scale = np.max(np.abs(d), axis=0)
-    for b in h.values():
-        np.maximum(scale, np.abs(b), out=scale)
-    if not np.isfinite(scale).all():
+    if not np.isfinite(H).all():
         raise np.linalg.LinAlgError("non-finite entry in a Hermitian block")
-    tol = np.finfo(float).eps * scale
-    tiny = np.finfo(float).tiny
-    V = None
-    if vectors:
-        V = np.zeros((Q, Q, n), dtype=complex)
-        V[range(Q), range(Q)] = 1.0
-    for _sweep in range(_JACOBI_SWEEPS):
-        rotated = False
-        for p, q in pairs:
-            b = h[p, q]
-            abs_b = np.abs(b)
-            if not (abs_b > tol).any():
-                continue
-            rotated = True
-            delta = d[q] - d[p]
-            # 0 only for a block with b = 0 and h_pp = h_qq, whose t is 0
-            den = np.maximum(np.abs(delta) + np.hypot(delta, 2.0 * abs_b),
-                             tiny)
-            t_per_b = np.copysign(2.0, delta) / den
-            t = t_per_b * abs_b
-            shift = t * abs_b
-            d[p] -= shift
-            d[q] += shift
-            if Q > 2 or vectors:
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s_u = (c * t_per_b) * b
-                s_uc = s_u.conj()
-                c = c.astype(complex)
-                for r in range(Q):
-                    if r < p:
-                        x, y = h[r, p], h[r, q]
-                        h[r, p], h[r, q] = c * x - s_uc * y, s_u * x + c * y
-                    elif p < r < q:     # h_pr = conj(h_rp) is stored
-                        x, y = h[p, r], h[r, q]
-                        h[p, r] = c * x - s_u * y.conj()
-                        h[r, q] = s_u * x.conj() + c * y
-                    elif r > q:         # h_pr and h_qr are stored
-                        x, y = h[p, r], h[q, r]
-                        h[p, r], h[q, r] = c * x - s_u * y, s_uc * x + c * y
-                if vectors:
-                    x, y = V[:, p], V[:, q]
-                    V[:, p], V[:, q] = c * x - s_uc * y, s_u * x + c * y
-            b[:] = 0.0
-        if not rotated:
-            break
-    else:
-        raise np.linalg.LinAlgError(
-            f"Jacobi rotations did not converge in {_JACOBI_SWEEPS} sweeps")
-    # odd-even transposition sort of each column, vectors alongside
-    for rnd in range(Q):
-        for i in range(rnd % 2, Q - 1, 2):
-            swap = d[i] > d[i + 1]
-            if swap.any():
-                d[i], d[i + 1] = (np.minimum(d[i], d[i + 1]),
-                                  np.maximum(d[i], d[i + 1]))
-                if vectors:
-                    x, y = V[:, i], V[:, i + 1]
-                    V[:, i], V[:, i + 1] = (np.where(swap, y, x),
-                                            np.where(swap, x, y))
-    return d, V
+    if Q > 2:
+        w, V = np.linalg.eigh(H)
+        return w.T, V.transpose(1, 2, 0) if vectors else None
+    if Q == 1:
+        V = np.ones((1, 1, n), dtype=complex) if vectors else None
+        return H[:, 0, 0].real[None], V
+    b = H[:, 0, 1]
+    abs_b = np.abs(b)
+    delta = H[:, 1, 1].real - H[:, 0, 0].real
+    # 0 only for a block with b = 0 and h_00 = h_11, whose t is 0
+    den = np.maximum(np.abs(delta) + np.hypot(delta, 2.0 * abs_b),
+                     np.finfo(float).tiny)
+    t_per_b = np.copysign(2.0, delta) / den
+    t = t_per_b * abs_b
+    lo, hi = H[:, 0, 0].real - t * abs_b, H[:, 1, 1].real + t * abs_b
+    w = np.stack([np.minimum(lo, hi), np.maximum(lo, hi)])
+    if not vectors:
+        return w, None
+    c = 1.0 / np.sqrt(1.0 + t * t)
+    s_u = (c * t_per_b) * b
+    x, y = np.stack([c, -s_u.conj()]), np.stack([s_u, c])
+    swap = lo > hi
+    return w, np.stack([np.where(swap, y, x), np.where(swap, x, y)], axis=1)
 
 
 def _bloch_eigh(model: LatticeModel, vectors: bool = False
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(k_grid, w, u) on ``default_k_grid`` from :func:`_jacobi_eigh` of the
+    """(k_grid, w, u) on ``default_k_grid`` from :func:`_block_eigh` of the
     Bloch blocks at one k of each {k, -k} pair: w of shape (Q, n_k),
     ascending down each column, and with ``vectors`` u of shape
     (n_k, Q, Q), H(k_i) u[i] = u[i] diag(w[:, i]).
@@ -170,7 +119,7 @@ def _bloch_eigh(model: LatticeModel, vectors: bool = False
     one mirror of the grid axes, ``np.roll(np.flip(a), 1)``, maps every
     point to its partner.  With real hoppings H(-k) = H(k)* (time
     reversal): the lower flat index of each pair is solved, in contiguous
-    runs of at most ``_BLOCH_CHUNK`` k-points so that the Jacobi
+    runs of at most ``_BLOCH_CHUNK`` k-points so that the solver's
     temporaries stay small, and the mirror copies E_m(-k) = E_m(k) and
     u(-k) = u(k)* to the rest exactly, in one masked copy.  A model with a
     complex hopping has no such symmetry, and every k is solved.
@@ -213,8 +162,8 @@ def _bloch_eigh(model: LatticeModel, vectors: bool = False
             m = np.unravel_index(np.arange(part.start, part.stop), shape)
             H = _bloch_blocks(model, lambda d, o: table(d, o)[m[d]],
                               part.stop - part.start)
-            w_flat[:, part], V_part = _jacobi_eigh(np.moveaxis(H, 2, 0),
-                                                   vectors)
+            w_flat[:, part], V_part = _block_eigh(np.moveaxis(H, 2, 0),
+                                                  vectors)
             if vectors:
                 V_flat[..., part] = V_part
     if not solved.all():
@@ -229,7 +178,7 @@ def _bloch_eigh(model: LatticeModel, vectors: bool = False
 
 def band_structure(model: LatticeModel) -> BandStructure:
     """Bloch eigenvalues on ``default_k_grid``, eigenvalues only, from the
-    Jacobi solve of one k of each {k, -k} pair (:func:`_bloch_eigh`, which
+    solve of one k of each {k, -k} pair (:func:`_bloch_eigh`, which
     ``greens.bloch_basis`` shares, so the two agree bit for bit)."""
     k_grid, bands, _ = _bloch_eigh(model)
     return BandStructure(k_grid=k_grid, bands=bands)

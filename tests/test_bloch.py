@@ -44,6 +44,13 @@ FLUX_SAWTOOTH = LatticeModel(
      (0, 1, (-1,), math.sqrt(2.0) * cmath.exp(-0.7j))),
     1.0)
 
+# A stub with on-site energies and a phase on the c_n -- b_{n+1} bond: Q = 3
+# with a complex hopping, so every k is solved, each by ``eigh``.
+PHASE_STUB = LatticeModel(
+    "phase-stub", 1, (5,), ("a", "b", "c"), (0.1, 0.0, -0.2),
+    ((0, 1, (0,), 2.0), (1, 2, (0,), 1.0), (2, 1, (1,), cmath.exp(0.5j))),
+    1.0)
+
 BLOCH_MODELS = [
     build_chain(7),
     build_sawtooth(6),
@@ -53,6 +60,7 @@ BLOCH_MODELS = [
     build_checkerboard(5, 4),
     build_checkerboard(6, 6),
     FLUX_SAWTOOTH,
+    PHASE_STUB,
 ]
 CLS_MODELS = [m for m in BLOCH_MODELS if m.cls is not None]
 bloch_model = st.sampled_from(BLOCH_MODELS)
@@ -139,21 +147,21 @@ def test_bloch_basis_is_one_full_grid_eigh(model):
     build_kagome1d(44)], ids=lambda m: f"{m.name}{m.shape}")
 def test_bands_and_bloch_basis_share_one_solve(model, monkeypatch):
     """``bloch_basis`` and ``band_structure`` take their energies from one
-    Jacobi solve, bit for bit.  The blocks it is handed are
+    solve of the blocks, bit for bit.  The blocks it is handed are
     ``bloch_hamiltonian`` on ``default_k_grid`` bit for bit, at the lower
     flat index of each {k, -k} pair (cell index m -> -m mod N) in ascending
     order with real hoppings, and at every k with a complex one (the flux
-    sawtooth).  Stub 22, checkerboard 22 x 26, sawtooth 30 and kagome1d 44
-    have a grid point at k = pi or pi/2 that 2 pi m / N alone misses by an
-    ulp."""
+    sawtooth and the phase stub).  Stub 22, checkerboard 22 x 26, sawtooth
+    30 and kagome1d 44 have a grid point at k = pi or pi/2 that 2 pi m / N
+    alone misses by an ulp."""
     solved = {False: [], True: []}
 
     def spy(H, vectors=False):
         solved[vectors].append(H.copy())
-        return jacobi(H, vectors)
+        return kernel(H, vectors)
 
-    jacobi = spectrum._jacobi_eigh
-    monkeypatch.setattr(spectrum, "_jacobi_eigh", spy)
+    kernel = spectrum._block_eigh
+    monkeypatch.setattr(spectrum, "_block_eigh", spy)
     basis = bloch_basis.__wrapped__(model)
     bands = band_structure(model).bands
     assert np.array_equal(basis.w, bands.T.reshape(-1))

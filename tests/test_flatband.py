@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -213,6 +214,47 @@ def test_lambda_2d_values():
     assert lam == math.inf
     assert lamp == pytest.approx(1.0 / settsech(1.0 / 3.0), rel=1e-12)
     assert lamp == pytest.approx(0.567296, abs=1e-5)
+
+
+def _settsech_reference(x: Decimal) -> Decimal:
+    return ((1 + (1 - x * x).sqrt()) / x).ln()
+
+
+def _relative_error(value: float, ref: Decimal) -> float:
+    return float(abs(Decimal(value) - ref) / ref)
+
+
+@pytest.mark.parametrize("alpha", [0.24999, 0.249999, -0.2499999999])
+def test_lambda_2d_accurate_at_band_touching(alpha):
+    """Against a 50-digit reference of settsech(2a / (1 -+ 2a)) at the float
+    a = |alpha| taken exactly, 1/lambda_2d and 1/lambda'_2d are good to a
+    few ulps as a -> 1/4, where settsech of the rounded ratio 2a/(1 - 2a)
+    lost up to 4e-10."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = abs(Decimal(alpha))
+        refs = (_settsech_reference(2 * a / (1 - 2 * a)),
+                _settsech_reference(2 * a / (1 + 2 * a)))
+        errors = [_relative_error(1.0 / lam, ref)
+                  for lam, ref in zip(lambda_2d(alpha), refs)]
+    assert max(errors) <= 3 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("alpha", [0.4999999, 0.49999999999, -0.4999999])
+def test_lambda_1d_and_xi_prefactor_accurate_near_half(alpha):
+    """Against a 50-digit reference, settsech(2a), 1/lambda_1d and the
+    prefactor xi_analytic_1d(alpha, 0) = 1/sqrt(1 - 4 alpha^2) are good to a
+    few ulps as a = |alpha| -> 1/2, where forming 1 - x^2 and 1 - 4 alpha^2
+    from rounded squares lost up to 4e-11."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = abs(Decimal(alpha))
+        rate = _settsech_reference(2 * a)
+        pref = 1 / (1 - 4 * a * a).sqrt()
+        errors = [_relative_error(settsech(2.0 * abs(alpha)), rate),
+                  _relative_error(1.0 / lambda_1d(alpha), rate),
+                  _relative_error(xi_analytic_1d(alpha, 0), pref)]
+    assert max(errors) <= 3 * np.finfo(float).eps
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.15, -0.2])

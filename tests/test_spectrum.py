@@ -9,7 +9,7 @@ from flatqed.greens import eigensystem
 from flatqed.lattice import (build_chain, build_checkerboard,
                              build_double_comb, build_kagome1d,
                              build_sawtooth, build_stub)
-from flatqed.spectrum import (_jacobi_eigh, band_structure, default_k_grid,
+from flatqed.spectrum import (_block_eigh, band_structure, default_k_grid,
                               flat_band_width_real_space)
 
 FLATNESS_TOL = 1e-8   # a band narrower than this over the grid is flat
@@ -123,7 +123,7 @@ def _hermitian_block(rng, Q, complex_, kind):
            st.sampled_from([1e-150, 1.0, 1e150])), min_size=1, max_size=6),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
-def test_jacobi_kernel_matches_eigvalsh(Q, complex_, blocks, seed):
+def test_block_kernel_matches_eigvalsh(Q, complex_, blocks, seed):
     """Every block of a batch (kinds and scales mixed) is solved to
     32 Q eps max|H_k| against ``eigvalsh``: ascending w within that bound,
     ||H_k V_k - V_k w_k|| within it and ||V_k^H V_k - I|| within 32 Q eps;
@@ -133,8 +133,8 @@ def test_jacobi_kernel_matches_eigvalsh(Q, complex_, blocks, seed):
     H = np.stack([scale * _hermitian_block(rng, Q, complex_, kind)
                   for kind, scale in blocks])
     H_in = H.copy()
-    w, V = _jacobi_eigh(H, vectors=True)
-    w_only, none = _jacobi_eigh(H)
+    w, V = _block_eigh(H, vectors=True)
+    w_only, none = _block_eigh(H)
     assert none is None and np.array_equal(w_only, w)
     assert np.array_equal(H, H_in)
     assert w.shape == (Q, len(blocks)) and V.shape == (Q, Q, len(blocks))
@@ -150,7 +150,7 @@ def test_jacobi_kernel_matches_eigvalsh(Q, complex_, blocks, seed):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
-def test_jacobi_kernel_rejects_nonfinite_blocks(bad):
+def test_block_kernel_rejects_nonfinite_blocks(bad):
     """A non-finite entry in any block raises ``LinAlgError`` at once, with
     no RuntimeWarning, as ``eigh`` fails on such input."""
     H = np.zeros((3, 4, 4), dtype=complex)
@@ -161,4 +161,4 @@ def test_jacobi_kernel_rejects_nonfinite_blocks(bad):
         warnings.simplefilter("error")
         for vectors in (False, True):
             with pytest.raises(np.linalg.LinAlgError):
-                _jacobi_eigh(H, vectors)
+                _block_eigh(H, vectors)
