@@ -88,18 +88,15 @@ def omega0_for_detuning(model: LatticeModel, delta: float,
     if reference == "lower_edge":
         return float(w.min()) - delta
     cls = cls_set(model)
-    # step off the FB toward the adjacent gap: up when the FB sits at or
-    # below the dispersive bands, down when it caps the spectrum
-    if cls.omega_fb >= float(w.max()) - 1e-9 * model.J:
-        return cls.omega_fb + delta
-    if cls.omega_fb <= float(w.min()) + 1e-9 * model.J:
-        # FB at the bottom: genuine gap above -> step up into it; band
-        # touching above (the CLS Gram symbol f(k) = 1 + 2 sum alpha cos k
-        # can vanish, so the gap closes with system size) -> step below the
-        # whole spectrum instead
-        touching = 2.0 * sum(abs(a) for a in cls.alphas) >= 1.0 - 1e-12
-        return cls.omega_fb - delta if touching else cls.omega_fb + delta
-    return cls.omega_fb + delta
+    # step off the FB toward the adjacent gap: up, except from a FB at the
+    # bottom (and not also the top) whose CLS Gram symbol f(k) = 1 + 2 sum
+    # alpha cos k can vanish: that band touching closes the gap above with
+    # system size, so the step goes below the whole spectrum instead
+    tol = 1e-9 * model.J
+    down = (cls.omega_fb <= float(w.min()) + tol
+            and cls.omega_fb < float(w.max()) - tol
+            and 2.0 * sum(abs(a) for a in cls.alphas) >= 1.0 - 1e-12)
+    return cls.omega_fb - delta if down else cls.omega_fb + delta
 
 
 def small_atom(model: LatticeModel, omega0: float, g: float,

@@ -35,14 +35,21 @@ from flatqed.spectrum import band_structure, flat_band_width_real_space
 # ---------------------------------------------------------------------------
 
 
+def _parse_cell(text: str) -> tuple[int, ...]:
+    """'50' -> (50,);  '10,12' -> (10, 12)."""
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad cell syntax {text!r}; expected n or n,m") from exc
+
+
 def _parse_site(text: str) -> tuple[str, tuple[int, ...]]:
     """'a:50' -> ('a', (50,));  'b:10,12' -> ('b', (10, 12))."""
     try:
         sub, cell_text = text.split(":")
-        cell = tuple(int(p) for p in cell_text.split(","))
-    except ValueError as exc:
+        return sub, _parse_cell(cell_text)
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"bad site syntax {text!r}; expected sub:cell") from exc
-    return sub, cell
 
 
 def _parse_scan(text: str) -> list[float]:
@@ -227,10 +234,8 @@ def _cmd_interactions(args: argparse.Namespace) -> None:
 def _cmd_giants(args: argparse.Namespace) -> None:
     model = _model(args)
     omega0 = _omega0(model, args)
-    emitters = []
-    for cell_text in args.cls:
-        cell = tuple(int(p) for p in cell_text.split(","))
-        emitters.append(cls_emitter(model, omega0, args.g, cell))
+    emitters = [cls_emitter(model, omega0, args.g, _parse_cell(cell))
+                for cell in args.cls]
     if not emitters:
         raise ConfigError("giants needs at least one --cls entry")
     _write_K(giant_interaction(model, emitters), args)

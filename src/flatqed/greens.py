@@ -16,22 +16,31 @@ give a real U, which is never cast to complex (complex vectors are split into
 real and imaginary parts).  Its cache is an LRU of 4 pairs of which at most
 one belongs to a disordered model: a sweep over disorder seeds never asks
 for a realisation twice, so each new one replaces the last and the sweep
-holds one N x N pair at a time.  The eigensystem is a dense ``eigh``, except
-for off-diagonally disordered models whose sublattices two-colour with zero
+holds one N x N pair at a time.  One dense solver, :func:`_dense_eigh`,
+serves the cache and :func:`eigenvalues`: a dense ``eigh``, except for
+off-diagonally disordered models whose sublattices two-colour with zero
 on-site energies (the stub): such a model is chiral, H = [[0, T], [T^H, 0]],
 and one SVD of the inter-sublattice block T, scattered straight from the
 bond list, gives every eigenpair and its exact zero modes (Lieb, PRL 62,
-1201 (1989); Inui, Trugman & Abrahams, PRB 49, 3190 (1994)).  Clean chiral
-models stay on ``eigh`` while the recorded 1D decay lengths pin its
-round-off (see :func:`eigensystem`).  Larger clean models use the Bloch
-basis (:func:`bloch_basis`): the Q x Q Bloch blocks on the commensurate
-k-grid, exactly ``lattice.bloch_hamiltonian`` at each k, solved at the
-lower index of each {k, -k} pair, in closed form for Q <= 2 and by
-``eigh`` for Q >= 3 (the solve ``spectrum.band_structure`` shares), and
-reached from site space by FFTs over the cell axes, so no N x N matrix is
-ever formed (lattice Green's functions as Bloch sums; Economou, *Green's
+1201 (1989); Inui, Trugman & Abrahams, PRB 49, 3190 (1994)).  Larger clean
+models use the Bloch basis (:func:`bloch_basis`): the Q x Q Bloch blocks on
+the commensurate k-grid, exactly ``lattice.bloch_hamiltonian`` at each k,
+solved at the lower index of each {k, -k} pair, in closed form for Q <= 2
+and by ``eigh`` for Q >= 3 (the solve ``spectrum.band_structure`` shares),
+and reached from site space by FFTs over the cell axes, so no N x N matrix
+is ever formed (lattice Green's functions as Bloch sums; Economou, *Green's
 Functions in Quantum Physics*).  The dense eigensystem stays the oracle
 and the basis of the dense flat-band projector.
+
+Two of these choices keep ``eigh`` round-off that ``benchmarks/golden.json``
+pins: the recorded 1D decay lengths are fitted from tails down to
+``boundstate.AMPLITUDE_FLOOR``, where psi is round-off.  So the clean stub,
+chiral too, stays on ``eigh`` (the SVD fits the exact rate there, and 6 of
+the 28 ``scan1d`` ops would fail their golden check), and clean models of
+at most ``DENSE_MAX_SITES`` sites stay dense although both bases agree to
+round-off (a change of basis moves fitted lengths by up to ~1e-3
+relative).  Both can go once those golden values stop pinning round-off
+(a benchmark change listed in ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -94,23 +103,47 @@ def _chiral_block(model: LatticeModel
     return T, A, B
 
 
-def _chiral_energies(s: np.ndarray, n_zero: int) -> np.ndarray:
-    """Ascending spectrum -s, n_zero zeros, +s from descending singular
-    values s."""
-    return np.concatenate([-s, np.zeros(n_zero), s[::-1]])
+def _dense_eigh(model: LatticeModel, vectors: bool
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """(w, U) of the real-space Hamiltonian, w ascending and U None without
+    ``vectors``: the dense counterpart of ``spectrum._bloch_eigh``.
+
+    Chiral path (off-diagonally disordered models with zero on-site energies
+    whose sublattices two-colour, see :func:`_chiral_block`): one SVD of the
+    n_A x n_B block, T = X S Y^H, gives the eigenvalues -s_i and +s_i with
+    vectors (x_i, -y_i)/sqrt(2) and (x_i, y_i)/sqrt(2), and n_A - n_B exact
+    zeros (x_j, 0) from X's trailing columns, at about a third of the cost
+    of ``eigh`` and with no N x N Hamiltonian formed.  Squaring T
+    (``eigh(T^H T)``) would lose the small s_i where the bands touch.  Every
+    other model, the clean stub included (for the golden values, see the
+    module docstring), takes ``eigh``, or ``eigvalsh`` without vectors."""
+    chiral = _chiral_block(model)
+    if chiral is None:
+        H = real_space_hamiltonian(model)
+        return np.linalg.eigh(H) if vectors else (np.linalg.eigvalsh(H), None)
+    T, A, B = chiral
+    n_a, n_b = T.shape
+    U = None
+    if vectors:
+        # U before the SVD's temporaries: a cached U allocated after them
+        # pins the heap above their freed space (a 40-model sweep then
+        # peaks ~13 MB higher with glibc malloc)
+        U = np.zeros((n_a + n_b, n_a + n_b), dtype=T.dtype)
+        X, s, Yh = np.linalg.svd(T)
+        X_s = X[:, :n_b] / np.sqrt(2.0)
+        Y = Yh.conj().T / np.sqrt(2.0)
+        U[A] = np.hstack([X_s, X[:, n_b:], X_s[:, ::-1]])
+        U[B, :n_b] = -Y
+        U[B, n_a:] = Y[:, ::-1]
+    else:
+        s = np.linalg.svd(T, compute_uv=False)
+    return np.concatenate([-s, np.zeros(n_a - n_b), s[::-1]]), U
 
 
 def eigenvalues(model: LatticeModel) -> np.ndarray:
     """Ascending eigenvalues of the real-space Hamiltonian, without
-    eigenvectors and outside the :func:`eigensystem` cache: singular values
-    of T on the chiral path (no N x N matrix formed), ``eigvalsh``
-    otherwise."""
-    chiral = _chiral_block(model)
-    if chiral is None:
-        return np.linalg.eigvalsh(real_space_hamiltonian(model))
-    T, A, B = chiral
-    return _chiral_energies(np.linalg.svd(T, compute_uv=False),
-                            len(A) - len(B))
+    eigenvectors and outside the :func:`eigensystem` cache."""
+    return _dense_eigh(model, vectors=False)[0]
 
 
 _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
@@ -163,43 +196,11 @@ def _one_disordered_pair(decompose: Callable) -> Callable:
 
 @_one_disordered_pair
 def eigensystem(model: LatticeModel) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (eigenvalues, eigenvectors) of the real-space Hamiltonian,
-    eigenvalues ascending, U real exactly when the hoppings are.  The cache
-    holds up to 4 pairs, at most one of them for a disordered model (see
-    :func:`_one_disordered_pair`).
-
-    Chiral path (off-diagonally disordered models with zero on-site energies
-    whose sublattices two-colour, see :func:`_chiral_block`): one SVD of the
-    n_A x n_B block, T = X S Y^H, gives the eigenvalues -s_i and +s_i with
-    vectors (x_i, -y_i)/sqrt(2) and (x_i, y_i)/sqrt(2), and n_A - n_B exact
-    zeros (x_j, 0) from X's trailing columns, at about a third of the cost
-    of ``eigh`` and with no N x N Hamiltonian formed.  Squaring T
-    (``eigh(T^H T)``) would lose the small s_i where the bands touch.
-
-    Every other model, clean ones included, takes ``np.linalg.eigh``.  The
-    clean stub is chiral too, but ``benchmarks/golden.json`` pins the
-    ``scan1d`` decay lengths fitted from ``eigh`` round-off: the SVD fits
-    the exact rate there, so 6 of the 28 ``scan1d`` ops would fail their
-    golden check.  The restriction to disordered models can go once those
-    golden values stop pinning round-off (a benchmark change listed in
-    ROADMAP.md)."""
-    chiral = _chiral_block(model)
-    if chiral is None:
-        w, U = np.linalg.eigh(real_space_hamiltonian(model))
-    else:
-        T, A, B = chiral
-        n_a, n_b = T.shape
-        # U before the SVD's temporaries: a cached U allocated after them
-        # pins the heap above their freed space (a 40-model sweep then
-        # peaks ~13 MB higher with glibc malloc)
-        U = np.zeros((n_a + n_b, n_a + n_b), dtype=T.dtype)
-        X, s, Yh = np.linalg.svd(T)
-        w = _chiral_energies(s, n_a - n_b)
-        X_s = X[:, :n_b] / np.sqrt(2.0)
-        Y = Yh.conj().T / np.sqrt(2.0)
-        U[A] = np.hstack([X_s, X[:, n_b:], X_s[:, ::-1]])
-        U[B, :n_b] = -Y
-        U[B, n_a:] = Y[:, ::-1]
+    """Cached (eigenvalues, eigenvectors) of the real-space Hamiltonian from
+    :func:`_dense_eigh`, both read-only, eigenvalues ascending, U real
+    exactly when the hoppings are.  The cache holds up to 4 pairs, at most
+    one of them for a disordered model (see :func:`_one_disordered_pair`)."""
+    w, U = _dense_eigh(model, vectors=True)
     w.setflags(write=False)
     U.setflags(write=False)
     return w, U
@@ -307,12 +308,8 @@ def bloch_basis(model: LatticeModel) -> SpectralBasis:
 
 def spectral_basis(model: LatticeModel) -> SpectralBasis:
     """The basis the seam uses: Bloch for clean models above
-    ``DENSE_MAX_SITES`` sites, the dense eigensystem otherwise.
-
-    Small models stay dense although both bases agree to round-off: the
-    recorded 1D results (``benchmarks/golden.json``) fit tails down to
-    ``boundstate.AMPLITUDE_FLOOR``, where psi is eigh round-off, so a change
-    of basis there moves fitted lengths by up to ~1e-3 relative."""
+    ``DENSE_MAX_SITES`` sites, the dense eigensystem otherwise (small models
+    stay dense for the golden values, see the module docstring)."""
     if model.disorder is None and model.n_sites > DENSE_MAX_SITES:
         return bloch_basis(model)
     w, U = eigensystem(model)

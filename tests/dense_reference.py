@@ -1,7 +1,11 @@
-"""The dense single-excitation Hamiltonian of emitters + bath: the oracle
-that the tests hold ``dynamics.evolve``'s reduced subspace and the pole
-solver against."""
+"""Dense references that the tests hold the library against: the
+single-excitation Hamiltonian of emitters + bath (the oracle of
+``dynamics.evolve``'s reduced subspace and of the pole solver), the
+resolvent by a dense linear solve, and a sawtooth threaded by flux, the
+complex-hopping model the seam, Bloch and lattice tests share."""
 
+import cmath
+import math
 from typing import Sequence
 
 import numpy as np
@@ -25,3 +29,22 @@ def total_hamiltonian(model: LatticeModel,
             H[j, n_e + x] += np.conj(g)
             H[n_e + x, j] += g
     return H
+
+
+def resolvent_solve(model: LatticeModel, omega: float,
+                    chi: np.ndarray) -> np.ndarray:
+    """(omega - H)^{-1} chi by a dense linear solve, for a vector or a
+    matrix of columns chi."""
+    H = real_space_hamiltonian(model)
+    return np.linalg.solve(omega * np.eye(model.n_sites) - H, chi)
+
+
+def flux_sawtooth(n_cells: int) -> LatticeModel:
+    """A sawtooth with Peierls phases on two of its bonds: complex hoppings,
+    so E(k) != E(-k) and the eigenvectors are complex."""
+    return LatticeModel(
+        "flux-sawtooth", 1, (n_cells,), ("a", "b"), (0.0, 0.3),
+        ((1, 1, (1,), cmath.exp(0.4j)),
+         (0, 1, (0,), math.sqrt(2.0)),
+         (0, 1, (-1,), math.sqrt(2.0) * cmath.exp(-0.7j))),
+        1.0)

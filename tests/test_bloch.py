@@ -37,12 +37,9 @@ from flatqed.lattice import (DisorderSpec, LatticeModel, _is_real,
                              real_space_hamiltonian, site_index)
 from flatqed.spectrum import band_structure, default_k_grid
 
-FLUX_SAWTOOTH = LatticeModel(
-    "flux-sawtooth", 1, (6,), ("a", "b"), (0.0, 0.3),
-    ((1, 1, (1,), cmath.exp(0.4j)),
-     (0, 1, (0,), math.sqrt(2.0)),
-     (0, 1, (-1,), math.sqrt(2.0) * cmath.exp(-0.7j))),
-    1.0)
+from dense_reference import flux_sawtooth, resolvent_solve
+
+FLUX_SAWTOOTH = flux_sawtooth(6)
 
 # A stub with on-site energies and a phase on the c_n -- b_{n+1} bond: Q = 3
 # with a complex hopping, so every k is solved, each by ``eigh``.
@@ -72,11 +69,6 @@ def bloch_path():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greens, "DENSE_MAX_SITES", 0)
         yield
-
-
-def _solve(model: LatticeModel, omega: float, chi: np.ndarray) -> np.ndarray:
-    H = real_space_hamiltonian(model)
-    return np.linalg.solve(omega * np.eye(model.n_sites) - H, chi)
 
 
 def _chi(model: LatticeModel, kind: str, seed: int) -> np.ndarray:
@@ -208,7 +200,7 @@ def test_self_partner_blocks_and_vectors_are_real(model, monkeypatch):
 def test_resolvent_and_self_energy_match_solve(model, omega, kind, seed):
     assume(_off_spectrum(model, omega))
     chi = _chi(model, kind, seed)
-    exact = _solve(model, omega, chi)
+    exact = resolvent_solve(model, omega, chi)
     scale = np.linalg.norm(exact)
     with bloch_path():
         assert spectral_basis(model) is bloch_basis(model)
@@ -239,7 +231,7 @@ def test_resolvent_form_matches_solve(model, seed, shift, per_column):
         M, dM = self_energy(model, chis)(omegas if per_column else omegas[0])
     assert M.shape == dM.shape == (3, 3)
     for j, omega in enumerate(omegas):
-        G = _solve(model, omega, chis)           # G(omega_j) chi_i, columns i
+        G = resolvent_solve(model, omega, chis)    # G(omega_j) chi_i, columns i
         col = chis.conj().T @ G[:, j]
         assert np.max(np.abs(M[:, j] - col)) < 1e-10 * np.max(np.abs(col))
         scale = np.max(np.linalg.norm(G, axis=0))
@@ -263,7 +255,8 @@ def test_solve_pole_root_matches_dense(model, seed, kind, shift, g):
         root = solve_pole(model, em)
     assert abs(root - dense) < 1e-12 * model.J
     c = em.chi(model.n_sites)
-    F = root - em.omega0 - em.gbar ** 2 * np.vdot(c, _solve(model, root, c)).real
+    F = root - em.omega0 - em.gbar ** 2 * np.vdot(
+        c, resolvent_solve(model, root, c)).real
     assert abs(F) < 1e-10
 
 

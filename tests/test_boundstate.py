@@ -121,6 +121,13 @@ def test_localization_fit_insufficient_data():
     res = bs_wavefunction(model, em)
     with pytest.raises(InsufficientData):
         localization_length_fit(res, model, "a")
+    # enough points, but a tail that grows away from the emitter
+    model = build_chain(40)
+    em = small_atom(model, -2.1, 1e-3, 20, "a")
+    d = np.abs(np.arange(model.n_sites) - 20)
+    res = BoundStateResult(-2.1, np.exp(d / 5.0) / 1e3, 1.0, em)
+    with pytest.raises(InsufficientData, match="does not decay"):
+        localization_length_fit(res, model, "a")
 
 
 def test_amplitude_floor_truncates_window():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from flatqed import greens
+from flatqed.boundstate import omega0_for_detuning, small_atom
 from flatqed.cli import _model, build_parser, main
+from flatqed.interactions import interaction_matrix
 from flatqed.lattice import (DisorderSpec, apply_disorder, build_chain,
                              build_checkerboard, build_double_comb,
                              build_kagome1d, build_sawtooth, build_stub)
@@ -33,19 +35,26 @@ def test_bands_shape(tmp_path, capsys):
     rows = read_csv(out)
     assert len(rows) == 2 * 256          # 2 bands x 256 k-points
     assert set(rows[0]) == {"k0", "band", "energy"}
+    code, out, _e = run(["bands", "--model", "checkerboard", "--N", "8"],
+                        capsys)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 2 * 64           # 2 bands x 8 x 8 k-points
+    assert set(rows[0]) == {"k0", "k1", "band", "energy"}
 
 
 def test_loclen_scan(tmp_path, capsys):
     out = tmp_path / "loclen.csv"
-    code, _o, _e = run(["loclen", "--model", "sawtooth", "--N", "100",
-                        "--site", "a:50", "--g", "1e-3",
-                        "--scan-delta", "1e-3:1e-1:log:7",
-                        "--out", str(out)], capsys)
-    assert code == 0
-    rows = read_csv(out)
-    assert len(rows) == 7
-    for row in rows:
-        assert abs(float(row["lambda"]) - 0.759) / 0.759 < 0.03
+    for scan, deltas in (("1e-3:1e-1:log:7", np.geomspace(1e-3, 1e-1, 7)),
+                         ("1e-2:1e-1:linear:3", np.linspace(1e-2, 1e-1, 3))):
+        code, _o, _e = run(["loclen", "--model", "sawtooth", "--N", "100",
+                            "--site", "a:50", "--g", "1e-3",
+                            "--scan-delta", scan, "--out", str(out)], capsys)
+        assert code == 0
+        rows = read_csv(out)
+        assert [float(row["delta"]) for row in rows] == list(deltas)
+        for row in rows:
+            assert abs(float(row["lambda"]) - 0.759) / 0.759 < 0.03
 
 
 def test_xi_compare(capsys):
@@ -91,6 +100,46 @@ def test_disorder_rows_need_no_eigenvectors(kind, capsys):
         assert abs(float(row["fb_width"]) - width) < 1e-12
         if kind == "off-diagonal":
             assert float(row["fb_width"]) == 0.0
+
+
+@pytest.mark.parametrize("argv,lo,hi", [
+    (["boundstate", "--model", "sawtooth", "--N", "50", "--delta", "1e-2",
+      "--site", "a:25"], -2.0, 0.0),
+    (["boundstate", "--model", "chain", "--N", "50", "--delta", "0.1",
+      "--detune-from", "lower_edge", "--site", "a:25", "--g", "10"],
+     -math.inf, -2.0),
+], ids=["sawtooth-bounded-gap", "chain-below-the-band"])
+def test_boundstate_row_solves_the_pole(argv, lo, hi, capsys):
+    """The pole lies in the gap the emitter is detuned into: the sawtooth's
+    gap between its flat band (-2) and the dispersive band (from 0), and
+    the unbounded side below the chain's band, far below it at g = 10."""
+    code, out, _e = run(argv, capsys)
+    assert code == 0
+    [row] = list(csv.DictReader(out.splitlines()))
+    omega_bs = float(row["omega_bs"])
+    assert lo < omega_bs < hi
+    assert abs(float(row["residual"])) <= 1e-12 * abs(omega_bs)
+
+
+@pytest.mark.parametrize("flags,exact", [([], False),
+                                         (["--exact-pole"], True)],
+                         ids=["at-omega0", "exact-pole"])
+def test_interactions_rows_are_the_library_K(flags, exact, capsys):
+    """Each i,j row is K_ij from ``interaction_matrix`` to the last digit,
+    at omega0 or at each emitter's solved pole with ``--exact-pole``."""
+    code, out, _e = run(["interactions", "--model", "sawtooth", "--N", "50",
+                         "--delta", "1e-2", "--site", "a:25",
+                         "--site", "a:27"] + flags, capsys)
+    assert code == 0
+    model = build_sawtooth(50)
+    omega0 = omega0_for_detuning(model, 1e-2)
+    K = interaction_matrix(model, [small_atom(model, omega0, 1e-3, c, "a")
+                                   for c in (25, 27)], exact_pole=exact).K
+    rows = list(csv.DictReader(out.splitlines()))
+    assert [(int(r["i"]), int(r["j"])) for r in rows] == [
+        (0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [complex(float(r["re"]), float(r["im"])) for r in rows] == \
+        K.reshape(-1).tolist()
 
 
 def test_interactions_output(capsys):
@@ -170,16 +219,29 @@ def test_report_rabi_failure_writes_no_file(tmp_path, capsys):
 
 
 def test_config_error_exit_2(capsys):
-    code, _o, err = run(["loclen", "--model", "sawtooth", "--N", "100",
-                         "--site", "a:50", "--scan-delta", "bad"], capsys)
-    assert code == 2
-    assert "ConfigError" in err
+    for scan, message in (("bad", "bad scan syntax"),
+                          ("1e-3:x:log:3", "bad scan numbers"),
+                          ("1e-3:1e-1:cubic:3", "unknown scan spacing")):
+        code, _o, err = run(["loclen", "--model", "sawtooth", "--N", "100",
+                             "--site", "a:50", "--scan-delta", scan], capsys)
+        assert code == 2
+        assert "ConfigError" in err and message in err
 
 
 def test_bad_site_syntax_exit_2(capsys):
     code, _o, err = run(["boundstate", "--model", "sawtooth", "--N", "20",
                          "--site", "nonsense", "--delta", "0.01"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("cell", ["1x", "1,", "a:1"])
+def test_bad_cls_cell_syntax_exit_2(cell, capsys):
+    """A ``--cls`` cell is parsed like the cell of a ``--site``: a
+    malformed one is a configuration error, not an uncaught int()."""
+    code, out, err = run(["giants", "--model", "sawtooth", "--N", "40",
+                          "--delta", "0.05", "--cls", cell], capsys)
+    assert code == 2
+    assert out == "" and f"ConfigError: bad cell syntax {cell!r}" in err
 
 
 def test_numerical_failure_exit_3(capsys):
@@ -259,8 +321,10 @@ def test_giants_at_the_flat_band_exit_3(argv, capsys):
      "--strength", "0.5", "--seeds", "2", "--zero-tol", "-1"],
     ["disorder", "--model", "stub", "--N", "8", "--kind", "off-diagonal",
      "--strength", "0.5", "--seeds", "2", "--zero-tol", "0"],
+    ["loclen", "--model", "sawtooth", "--N", "20", "--site", "a:3",
+     "--scan-delta", "0:1e-1:log:3"],
 ], ids=["max-dist-negative", "axis-beyond-dim", "zero-tol-negative",
-        "zero-tol-zero"])
+        "zero-tol-zero", "log-scan-from-zero"])
 def test_out_of_range_argument_exit_2(argv, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -274,7 +338,19 @@ def test_out_of_range_argument_exit_2(argv, capsys):
     (["disorder", "--model", "stub", "--N", "8", "--kind", "diagonal",
       "--strength", "0.1", "--seeds", "-2"],
      "ConfigError: --seeds must be >= 0"),
-], ids=["xi-nk-0", "xi-2d-nk-negative", "disorder-seeds-negative"])
+    (["loclen", "--model", "sawtooth", "--N", "20", "--site", "a:3",
+      "--scan-delta", "1e-3:1e-1:linear:0"],
+     "ConfigError: scan count must be >= 1"),
+    (["xi", "--dim", "1", "--alpha", "0.1", "0.2"],
+     "ConfigError: --alpha count must match --dim"),
+    (["interactions", "--model", "sawtooth", "--N", "20", "--delta", "0.01",
+      "--site", "a:3"],
+     "ConfigError: interactions needs at least two --site entries"),
+    (["giants", "--model", "sawtooth", "--N", "20", "--delta", "0.01"],
+     "ConfigError: giants needs at least one --cls entry"),
+], ids=["xi-nk-0", "xi-2d-nk-negative", "disorder-seeds-negative",
+        "scan-count-0", "xi-alpha-count", "interactions-one-site",
+        "giants-no-cls"])
 def test_bad_count_exit_2(argv, message, capsys):
     code, out, err = run(argv, capsys)
     assert code == 2
@@ -322,6 +398,10 @@ def test_missing_detuning_exit_2(capsys):
     code, _o, err = run(["boundstate", "--model", "sawtooth", "--N", "20",
                          "--site", "a:10"], capsys)
     assert code == 2
+    code, out, err = run(["loclen", "--model", "sawtooth", "--N", "20",
+                          "--site", "a:10"], capsys)
+    assert code == 2
+    assert out == "" and "provide --delta or --scan-delta" in err
 
 
 def test_config_file_expansion(tmp_path, capsys):
@@ -333,6 +413,13 @@ def test_config_file_expansion(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert len(rows) == 5
+    # a list value is a repeated flag
+    cfg.write_text(json.dumps({
+        "command": "interactions", "model": "sawtooth", "N": 20,
+        "delta": 0.01, "site": ["a:5", "a:7"]}))
+    code, out, _e = run(["--config", str(cfg)], capsys)
+    assert code == 0
+    assert len(list(csv.DictReader(out.splitlines()))) == 4
 
 
 def test_bad_config_file(tmp_path, capsys):
@@ -340,6 +427,26 @@ def test_bad_config_file(tmp_path, capsys):
     cfg.write_text("not json")
     code, _o, err = run(["--config", str(cfg)], capsys)
     assert code == 2
+    for text in ('["xi"]', '{"alpha": 0.2}'):
+        cfg.write_text(text)
+        code, _o, err = run(["--config", str(cfg)], capsys)
+        assert code == 2
+        assert "config must be an object with a 'command' key" in err
+    code, _o, err = run(["--config"], capsys)
+    assert code == 2
+    assert "--config needs a file path" in err
+
+
+@pytest.mark.parametrize("argv,code", [(["bands", "--model", "chain"], 2),
+                                       (["--help"], 0)],
+                         ids=["usage-error", "help"])
+def test_argparse_exit_passes_through(argv, code, monkeypatch, capsys):
+    """``main()`` reads ``sys.argv`` as the console script does, and returns
+    argparse's own exit status instead of raising SystemExit."""
+    monkeypatch.setattr("sys.argv", ["flatqed"] + argv)
+    assert main() == code
+    out, err = capsys.readouterr()
+    assert ("usage: flatqed" in err) if code else ("usage: flatqed" in out)
 
 
 @pytest.mark.parametrize("flags,direct", [

@@ -140,6 +140,25 @@ def test_evolve_rejects_times_not_1d(times):
         evolve(model, [em], 0, times)
 
 
+@pytest.mark.parametrize("t,p,expected", [
+    ([0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.6, 0.7], 3.0 * math.pi / 8.0),
+    ([0.0, 1.0, 2.0, 3.0], [1.0, -1.0 + 2.0 ** -53, -1.0, -1.0],
+     math.pi / (2.0 * 2.0)),
+    ([-3.0, -2.0, -1.0, 0.0], [1.0, 0.5, 0.6, 0.7], None),
+], ids=["parabola", "flat-parabola", "minimum-before-zero"])
+def test_fit_on_a_hand_built_series(t, p, expected):
+    """The minimum is refined by the parabola through its neighbours; when
+    their second difference rounds to zero (only a series with negative
+    values gets there) the sample time itself is taken; a minimum at t <= 0
+    gives no frequency."""
+    ts = dynamics.TimeSeries(np.array(t), np.array(p)[:, None], 0.0)
+    if expected is None:
+        with pytest.raises(ValueError, match="non-positive time"):
+            fit_rabi_frequency(ts)
+    else:
+        assert fit_rabi_frequency(ts) == pytest.approx(expected, rel=1e-14)
+
+
 def test_fit_requires_minimum():
     model = build_chain(1)
     em = small_atom(model, 0.0, 1e-3, 0, "a")

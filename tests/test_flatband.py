@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -194,6 +195,28 @@ def test_non_integral_offset_is_rejected(call):
     it (xi(2.7) used to return xi(2))."""
     with pytest.raises(ValueError, match="offsets must be integers"):
         call()
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: lambda_1d(0.0), "0 < |alpha| < 1/2"),
+    (lambda: lambda_1d(-0.5), "0 < |alpha| < 1/2"),
+    (lambda: lambda_2d(0.0), "0 < |alpha| <= 1/4"),
+    (lambda: lambda_2d(0.3), "0 < |alpha| <= 1/4"),
+    (lambda: xi_analytic_1d(0.5, 1), "|alpha| < 1/2"),
+    (lambda: xi_numeric((0.1, 0.1), (1,)), "offset dimension mismatch"),
+    (lambda: xi_numeric(0.1, (1, 0)), "offset dimension mismatch"),
+], ids=["lambda_1d-0", "lambda_1d-half", "lambda_2d-0", "lambda_2d-0.3",
+        "analytic_1d-half", "numeric_2d-1d-offset", "numeric_1d-2d-offset"])
+def test_argument_outside_the_domain_is_rejected(call, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        call()
+
+
+@pytest.mark.parametrize("d", [0, 1, -3])
+def test_xi_at_zero_overlap_is_a_kronecker_delta(d):
+    """alpha = 0 leaves one CLS per cell with no overlap: f(k) = 1."""
+    assert xi_analytic_1d(0.0, d) == float(d == 0)
+    assert xi_numeric(0.0, (d,)) == pytest.approx(float(d == 0), abs=1e-15)
 
 
 def test_integral_float_and_numpy_offsets_are_accepted():

@@ -241,3 +241,14 @@ def test_nonfinite_giant_parameters_are_rejected(build):
     at least one coupling"."""
     with pytest.raises(ValueError, match="must be finite"):
         build(build_sawtooth(20))
+
+
+@pytest.mark.parametrize("build,match", [
+    (lambda m: cls_superposition_emitter(m, -1.9, 1e-3, [3, 4], [1.0]),
+     "cells and coeffs must have equal length"),
+    (lambda m: envelope_emitter(m, -1.9, 1e-3, (10, 0), ell=1.0),
+     "center dimension mismatch"),
+], ids=["cells-without-coeffs", "2d-center-on-1d"])
+def test_mismatched_giant_arguments_are_rejected(build, match):
+    with pytest.raises(ValueError, match=match):
+        build(build_sawtooth(20))

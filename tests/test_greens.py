@@ -23,14 +23,11 @@ from flatqed.lattice import (DisorderSpec, LatticeModel, apply_disorder,
                              build_chain, build_kagome1d, build_sawtooth,
                              build_stub, real_space_hamiltonian)
 
-# Sawtooth with Peierls phases on two of its bonds: complex hoppings give a
-# complex eigenvector matrix, so the complex-U branch of the seam runs.
-FLUX_SAWTOOTH = LatticeModel(
-    "flux-sawtooth", 1, (6,), ("a", "b"), (0.0, 0.3),
-    ((1, 1, (1,), cmath.exp(0.4j)),
-     (0, 1, (0,), math.sqrt(2.0)),
-     (0, 1, (-1,), math.sqrt(2.0) * cmath.exp(-0.7j))),
-    1.0)
+from dense_reference import flux_sawtooth, resolvent_solve
+
+# complex hoppings give a complex eigenvector matrix, so the complex-U
+# branch of the seam runs
+FLUX_SAWTOOTH = flux_sawtooth(6)
 
 # A stub with complex hoppings and off-diagonal disorder, its minority
 # sublattice listed first: the chiral path with a complex block T and the
@@ -79,12 +76,6 @@ def _site_vector(model: LatticeModel, seed: int, real: bool) -> np.ndarray:
     if not real:
         v += 1j * rng.normal(size=model.n_sites)
     return v / np.linalg.norm(v)
-
-
-def _solve(model: LatticeModel, omega: float, chi: np.ndarray) -> np.ndarray:
-    """Oracle: (omega - H)^{-1} chi by a dense linear solve."""
-    H = real_space_hamiltonian(model)
-    return np.linalg.solve(omega * np.eye(model.n_sites) - H, chi)
 
 
 @given(omega=st.floats(-4.0, -2.1, allow_nan=False))
@@ -318,7 +309,7 @@ def test_resolvent_and_self_energy_match_solve(model, omega, seed, real):
     w, _U = eigensystem(model)
     assume(np.min(np.abs(omega - w)) > 1e-3)
     chi = _site_vector(model, seed, real)
-    exact = _solve(model, omega, chi)
+    exact = resolvent_solve(model, omega, chi)
     scale = np.linalg.norm(exact)
     g = resolvent_vector(model, omega, chi)
     assert g.dtype == complex
@@ -352,7 +343,7 @@ def test_self_energy_matrix_matches_solve(model, seed, omegas, per_column):
                                              else omegas[0])
     assert sigma.shape == dsigma.shape == (3, 3)
     for j, omega in enumerate(omegas):
-        G = _solve(model, omega, chis)           # G(omega_j) chi_i, columns i
+        G = resolvent_solve(model, omega, chis)    # G(omega_j) chi_i, columns i
         scale = np.max(np.linalg.norm(G, axis=0))
         assert np.max(np.abs(sigma[:, j] - chis.conj().T @ G[:, j])) \
             < 1e-10 * scale
@@ -373,7 +364,8 @@ def test_solve_pole_root_matches_solve(model, seed, shift, g):
                      couplings=tuple((int(x), complex(a)) for x, a in zip(sites, amps)))
     root = solve_pole(model, em)
     chi = em.chi(model.n_sites)
-    F = root - em.omega0 - em.gbar ** 2 * np.vdot(chi, _solve(model, root, chi)).real
+    F = root - em.omega0 - em.gbar ** 2 * np.vdot(
+        chi, resolvent_solve(model, root, chi)).real
     assert abs(F) < 1e-10
 
 
@@ -405,7 +397,8 @@ def test_interaction_matrix_matches_solve(model, seed, exact):
     chis = np.column_stack([em.chi(model.n_sites) for em in ems])
     for j, em in enumerate(ems):
         omega = solve_pole(model, em) if exact else omega0
-        col = 0.05 ** 2 * (chis.conj().T @ _solve(model, omega, chis[:, j]))
+        col = 0.05 ** 2 * (chis.conj().T
+                           @ resolvent_solve(model, omega, chis[:, j]))
         assert np.max(np.abs(K.K[:, j] - col)) < 1e-12
 
 

@@ -1,4 +1,3 @@
-import cmath
 import math
 from dataclasses import replace
 
@@ -20,6 +19,8 @@ from flatqed.lattice import (ClsSet, DisorderSpec, LatticeModel,
                              build_sawtooth, build_stub, model_from_spec,
                              real_space_hamiltonian, site_index)
 
+from dense_reference import flux_sawtooth
+
 ALL_MODELS = [
     build_chain(10),
     build_sawtooth(8),
@@ -31,15 +32,6 @@ ALL_MODELS = [
 ]
 
 
-def _flux_sawtooth(n_cells):
-    """A sawtooth threaded by flux: complex hoppings, so E(k) != E(-k)."""
-    return LatticeModel("flux-sawtooth", 1, (n_cells,), ("a", "b"), (0.0, 0.3),
-                        ((1, 1, (1,), cmath.exp(0.4j)),
-                         (0, 1, (0,), math.sqrt(2.0)),
-                         (0, 1, (-1,), math.sqrt(2.0) * cmath.exp(-0.7j))),
-                        1.0)
-
-
 # every builder at its smallest allowed shape, plus a complex-hopping model
 SMALLEST_MODELS = [
     build_chain(1),
@@ -49,7 +41,7 @@ SMALLEST_MODELS = [
     build_double_comb(3, t=1.3, omega_c=0.2),
     build_kagome1d(4),
     build_checkerboard(4, 4),
-    _flux_sawtooth(4),
+    flux_sawtooth(4),
 ]
 
 
@@ -101,7 +93,7 @@ def test_real_space_hermitian(model):
     assert np.max(np.abs(H - H.conj().T)) == 0.0
 
 
-@pytest.mark.parametrize("model", ALL_MODELS + [_flux_sawtooth(6)],
+@pytest.mark.parametrize("model", ALL_MODELS + [flux_sawtooth(6)],
                          ids=lambda m: m.name)
 def test_bloch_matches_real_space_spectrum(model):
     """Union of Bloch eigenvalues over the commensurate grid equals the
@@ -234,6 +226,22 @@ def test_nonfinite_onsite_or_hopping_is_rejected(onsite, amp):
                      1.0)
 
 
+@pytest.mark.parametrize("fields,match", [
+    ({"dim": 2}, "dimension/shape mismatch"),
+    ({"onsite": (0.0, 0.0)}, "one on-site energy per sublattice"),
+    ({"hoppings": ((0, 1, (1,), 1.0),)}, "sublattice index out of range"),
+    ({"hoppings": ((0, 0, (1, 0), 1.0),)}, "offset dimension mismatch"),
+    ({"hoppings": ((0, 0, (5,), 1.0),)}, "offset wraps onto itself"),
+], ids=["dim-against-shape", "onsite-count", "sublattice-index",
+        "offset-dimension", "offset-wraps"])
+def test_inconsistent_model_is_rejected(fields, match):
+    """A hand-built model must agree with itself: one on-site energy per
+    sublattice, hoppings between existing sublattices, and offsets of the
+    lattice's dimension shorter than the lattice (the 5-cell chain)."""
+    with pytest.raises(ConfigError, match=match):
+        replace(build_chain(5), **fields)
+
+
 @pytest.mark.parametrize("model,params", [
     ("stub", {"Delta": math.nan}), ("stub", {"Delta": math.inf}),
     ("doublecomb", {"t": math.nan}), ("doublecomb", {"omega_c": math.nan})])
@@ -314,12 +322,19 @@ def test_stub_band_energies():
 
 def test_checkerboard_band_energies():
     """H_k = omega_d(k) I - J v_k v_k^dag with |v_k|^2 = omega_d/J:
-    bands {0, omega_d(k)}, omega_d = 2J(2 - cos kx - cos ky)."""
+    bands {0, omega_d(k)}, omega_d = 2J(2 - cos kx - cos ky), also from
+    ``band_structure`` on every point of a 64 x 64 grid."""
     model = build_checkerboard(6, 6)
     for k in ((0.3, 1.2), (np.pi, 0.0), (2.0, -1.0)):
         w = np.sort(np.linalg.eigvalsh(bloch_hamiltonian(model, k)))
         om_d = 2.0 * (2.0 - np.cos(k[0]) - np.cos(k[1]))
         assert np.allclose(w, [0.0, om_d], atol=1e-12)
+    from flatqed.spectrum import band_structure
+    bs = band_structure(build_checkerboard(64, 64))
+    kx, ky = bs.k_grid.T
+    om_d = 2.0 * (2.0 - np.cos(kx) - np.cos(ky))
+    assert np.max(np.abs(bs.bands[0])) < 1e-12
+    assert np.max(np.abs(bs.bands[1] - om_d)) < 1e-12
 
 
 def test_doublecomb_flat_band_energy():
@@ -435,9 +450,21 @@ def test_model_from_spec_defaults_come_from_the_builders():
     (_seeded_stub("2"), "seed must be an integer, got '2'"),
     (_seeded_stub(math.inf), "bad disorder spec"),
     (_seeded_stub(-1), "seed must be an integer >= 0"),
+    ({"model": "stub"}, "lattice spec missing 'N'"),
+    ({"model": "sawtooth", "N": 3}, "sawtooth requires N >= 4"),
+    ({"model": "stub", "N": 3}, "stub requires N >= 4"),
+    ({"model": "stub", "N": 8, "params": {"Delta": -1.0}},
+     "require Delta >= 0"),
+    ({"model": "doublecomb", "N": 2}, "double-comb requires N >= 3"),
+    ({"model": "doublecomb", "N": 8, "params": {"t": 0.0}}, "require t > 0"),
+    ({"model": "kagome1d", "N": 3}, "kagome1d requires N >= 4"),
+    ({"model": "checkerboard", "N": [4, 3]},
+     "checkerboard requires Nx, Ny >= 4"),
 ], ids=["misspelt-param", "foreign-param", "fractional-N", "fractional-2d-N",
         "infinite-N", "fractional-seed", "string-seed", "infinite-seed",
-        "negative-seed"])
+        "negative-seed", "missing-N", "sawtooth-N-3", "stub-N-3",
+        "stub-negative-Delta", "doublecomb-N-2", "doublecomb-t-0",
+        "kagome1d-N-3", "checkerboard-4x3"])
 def test_model_from_spec_rejects_bad_input(spec, match):
     with pytest.raises(ConfigError, match=match):
         model_from_spec(spec)

@@ -1,4 +1,8 @@
-"""Every demo script in ``scripts/`` runs to completion against ``src/``."""
+"""Every demo script in ``scripts/`` runs to completion against ``src/``.
+
+``src`` is put ahead of the caller's ``PYTHONPATH``, not in its place, so a
+run with scipy blocked by a shadow package on ``PYTHONPATH`` reaches the
+scripts too."""
 
 import os
 import subprocess
@@ -13,7 +17,8 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
 def test_script_exits_0(script):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
