@@ -58,7 +58,6 @@ from flatqed.boundstate import (
     EmitterSpec,
     bs_wavefunction,
     localization_length_fit,
-    pole_residual,
     solve_pole,
 )
 from flatqed.interactions import (

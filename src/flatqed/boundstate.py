@@ -108,13 +108,14 @@ def small_atom(model: LatticeModel, omega0: float, g: float,
 
 @dataclass(frozen=True)
 class BoundStateResult:
-    """Solved bound state: pole energy and normalized wavefunction."""
+    """Solved bound state: pole energy, normalized wavefunction, residuals."""
 
     omega_bs: float
     psi: np.ndarray                  # photonic amplitudes over all sites
     c_e: float                       # atomic amplitude (real positive)
     emitter: EmitterSpec
     norm_residual: float = 0.0
+    pole_residual: float = 0.0       # |omega_bs - omega0 - gbar^2 Sigma|
 
 
 def _safe_newton(f: Callable[[float], tuple[float, float]], a: float,
@@ -179,30 +180,26 @@ def solve_pole(model: LatticeModel, emitter: EmitterSpec) -> float:
                         maxiter=200)
 
 
-def pole_residual(model: LatticeModel, emitter: EmitterSpec,
-                  omega_bs: float) -> float:
-    """|omega_BS - omega0 - gbar^2 <chi|G_B(omega_BS)|chi>|."""
-    sigma, _ = self_energy(model, emitter.chi(model.n_sites))(omega_bs)
-    return abs(omega_bs - emitter.omega0
-               - emitter.gbar ** 2 * float(sigma[0, 0].real))
-
-
 def bs_wavefunction(model: LatticeModel, emitter: EmitterSpec,
                     omega_bs: float | None = None) -> BoundStateResult:
     """Bound-state wavefunction at the solved pole (or a supplied energy).
 
     The photonic part is gbar G_B |chi> relative to atomic amplitude 1; the
-    returned state is jointly normalized: |c_e|^2 + sum |psi|^2 = 1."""
+    returned state is jointly normalized: |c_e|^2 + sum |psi|^2 = 1.  The
+    pole residual reads gbar^2 <chi|G_B|chi> off it as gbar <chi|psi_rel>."""
     if omega_bs is None:
         omega_bs = solve_pole(model, emitter)
     chi = emitter.chi(model.n_sites)
     psi_rel = emitter.gbar * resolvent_vector(model, omega_bs, chi)
+    pole_residual = abs(omega_bs - emitter.omega0 - emitter.gbar
+                        * float(np.vdot(chi, psi_rel).real))
     norm = math.sqrt(1.0 + float(np.vdot(psi_rel, psi_rel).real))
     psi = psi_rel / norm
     c_e = 1.0 / norm
     residual = abs(c_e ** 2 + float(np.vdot(psi, psi).real) - 1.0)
     return BoundStateResult(omega_bs=float(omega_bs), psi=psi, c_e=c_e,
-                            emitter=emitter, norm_residual=residual)
+                            emitter=emitter, norm_residual=residual,
+                            pole_residual=pole_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from flatqed.boundstate import (EmitterSpec, bs_wavefunction,
-                                localization_length_fit, omega0_for_detuning,
-                                pole_residual, small_atom, solve_pole)
+from flatqed.boundstate import (bs_wavefunction, localization_length_fit,
+                                omega0_for_detuning, small_atom)
 from flatqed.dynamics import evolve, fit_rabi_frequency, rabi_frequency
 from flatqed.errors import ConfigError, FlatQedError, UnsupportedLattice
 from flatqed.flatband import cls_set, xi_analytic_1d, xi_numeric
@@ -91,20 +90,12 @@ def _model(args: argparse.Namespace) -> LatticeModel:
         "params": {k: v for k, v in params.items() if v is not None}})
 
 
-def _emitter(model: LatticeModel, args: argparse.Namespace,
-             site_text: str, omega0: float) -> EmitterSpec:
-    sub, cell = _parse_site(site_text)
-    return small_atom(model, omega0, args.g, cell, sub)
-
-
-def _omega0(model: LatticeModel, args: argparse.Namespace,
-            delta: float | None = None) -> float:
-    if getattr(args, "omega0", None) is not None:
+def _omega0(model: LatticeModel, args: argparse.Namespace) -> float:
+    if args.omega0 is not None:
         return args.omega0
-    d = delta if delta is not None else getattr(args, "delta", None)
-    if d is None:
+    if args.delta is None:
         raise ConfigError("provide --omega0 or --delta")
-    return omega0_for_detuning(model, d, reference=args.detune_from)
+    return omega0_for_detuning(model, args.delta, reference=args.detune_from)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +124,12 @@ def _write_rows(rows: list[dict], fieldnames: list[str],
         writer.writerows([_fmt(r[k]) for k in fieldnames] for r in rows)
         text = buf.getvalue()
     if out:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write output {out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -168,13 +163,12 @@ def _cmd_bands(args: argparse.Namespace) -> None:
 def _cmd_boundstate(args: argparse.Namespace) -> None:
     model = _model(args)
     omega0 = _omega0(model, args)
-    em = _emitter(model, args, args.site, omega0)
-    omega_bs = solve_pole(model, em)
-    res = bs_wavefunction(model, em, omega_bs)
+    sub, cell = args.site
+    res = bs_wavefunction(model, small_atom(model, omega0, args.g, cell, sub))
     rows = [{
         "omega0": omega0,
-        "omega_bs": omega_bs,
-        "residual": pole_residual(model, em, omega_bs),
+        "omega_bs": res.omega_bs,
+        "residual": res.pole_residual,
         "c_e": res.c_e,
         "photon_weight": 1.0 - res.c_e ** 2,
     }]
@@ -182,17 +176,21 @@ def _cmd_boundstate(args: argparse.Namespace) -> None:
 
 
 def _cmd_loclen(args: argparse.Namespace) -> None:
-    model = _model(args)
-    deltas = _parse_scan(args.scan_delta) if args.scan_delta else [args.delta]
+    if args.omega0 is not None:
+        raise ConfigError("loclen scans the detuning: give --delta or "
+                          "--scan-delta, not --omega0")
+    deltas = args.scan_delta or [args.delta]
     if deltas == [None]:
         raise ConfigError("provide --delta or --scan-delta")
-    fit_sub = args.fit_sub or _parse_site(args.site)[0]
+    sub, cell = args.site
+    model = _model(args)
     rows = []
     for d in deltas:
-        omega0 = _omega0(model, args, delta=d)
-        em = _emitter(model, args, args.site, omega0)
-        res = bs_wavefunction(model, em)
-        lam, r2 = localization_length_fit(res, model, fit_sub, axis=args.axis)
+        omega0 = omega0_for_detuning(model, d, reference=args.detune_from)
+        res = bs_wavefunction(model,
+                              small_atom(model, omega0, args.g, cell, sub))
+        lam, r2 = localization_length_fit(res, model, args.fit_sub or sub,
+                                          axis=args.axis)
         rows.append({"delta": float(d), "omega0": omega0,
                      "omega_bs": res.omega_bs, "lambda": lam, "r2": r2})
     _write_rows(rows, list(rows[0]), args.out, args.format)
@@ -222,22 +220,22 @@ def _cmd_xi(args: argparse.Namespace) -> None:
 
 
 def _cmd_interactions(args: argparse.Namespace) -> None:
+    if len(args.site) < 2:
+        raise ConfigError("interactions needs at least two --site entries")
     model = _model(args)
     omega0 = _omega0(model, args)
-    emitters = [_emitter(model, args, s, omega0) for s in args.site]
-    if len(emitters) < 2:
-        raise ConfigError("interactions needs at least two --site entries")
+    emitters = [small_atom(model, omega0, args.g, cell, sub)
+                for sub, cell in args.site]
     _write_K(interaction_matrix(model, emitters, exact_pole=args.exact_pole),
              args)
 
 
 def _cmd_giants(args: argparse.Namespace) -> None:
+    if not args.cls:
+        raise ConfigError("giants needs at least one --cls entry")
     model = _model(args)
     omega0 = _omega0(model, args)
-    emitters = [cls_emitter(model, omega0, args.g, _parse_cell(cell))
-                for cell in args.cls]
-    if not emitters:
-        raise ConfigError("giants needs at least one --cls entry")
+    emitters = [cls_emitter(model, omega0, args.g, cell) for cell in args.cls]
     _write_K(giant_interaction(model, emitters), args)
 
 
@@ -249,7 +247,8 @@ def _cmd_dynamics(args: argparse.Namespace) -> None:
         omega0 = cls_set(model).omega_fb     # resonant with the flat band
     else:
         omega0 = _omega0(model, args)
-    em = _emitter(model, args, args.site, omega0)
+    sub, cell = args.site
+    em = small_atom(model, omega0, args.g, cell, sub)
     t_grid = np.linspace(0.0, args.tmax, args.nt)
     ts = evolve(model, [em], 0, t_grid)
     # the report can fail (exit 2), so it is formed before any row is written
@@ -332,15 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_emitter_args(p)
     _add_output_args(p)
-    p.add_argument("--site", required=True, help="coupling site, e.g. a:50")
+    p.add_argument("--site", required=True, type=_parse_site,
+                   help="coupling site, e.g. a:50")
     p.set_defaults(func=_cmd_boundstate)
 
     p = sub.add_parser("loclen", help="localization length vs detuning")
     _add_model_args(p)
     _add_emitter_args(p)
     _add_output_args(p)
-    p.add_argument("--site", required=True, help="coupling site, e.g. a:50")
+    p.add_argument("--site", required=True, type=_parse_site,
+                   help="coupling site, e.g. a:50")
     p.add_argument("--scan-delta", dest="scan_delta", default=None,
+                   type=_parse_scan,
                    help="detuning scan start:stop:spacing:count")
     p.add_argument("--fit-sub", dest="fit_sub", default=None,
                    help="sublattice for the tail fit (default: coupling sublattice)")
@@ -362,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_emitter_args(p)
     _add_output_args(p)
-    p.add_argument("--site", action="append", default=[],
+    p.add_argument("--site", action="append", default=[], type=_parse_site,
                    help="coupling site (repeatable)")
     p.add_argument("--exact-pole", dest="exact_pole", action="store_true")
     p.set_defaults(func=_cmd_interactions)
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_emitter_args(p)
     _add_output_args(p)
-    p.add_argument("--cls", action="append", default=[],
+    p.add_argument("--cls", action="append", default=[], type=_parse_cell,
                    help="CLS cell, e.g. 10 or 10,12 (repeatable)")
     p.set_defaults(func=_cmd_giants)
 
@@ -379,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_emitter_args(p)
     _add_output_args(p)
-    p.add_argument("--site", required=True, help="coupling site, e.g. a:50")
+    p.add_argument("--site", required=True, type=_parse_site,
+                   help="coupling site, e.g. a:50")
     p.add_argument("--tmax", type=float, required=True)
     p.add_argument("--nt", type=int, default=1001)
     p.add_argument("--report-rabi", dest="report_rabi", action="store_true",

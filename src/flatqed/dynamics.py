@@ -323,23 +323,22 @@ def fit_rabi_frequency(ts: TimeSeries) -> float:
 
     A local minimum less than ``RABI_MIN_DEPTH`` p[0] below p[0] is a
     wiggle, not a Rabi half-period, and is skipped.  The discrete minimum is
-    refined by a parabola through its three neighbouring samples."""
+    refined by a parabola through its three neighbouring samples; a series
+    with a negative entry is no population and raises ``ValueError``."""
     p = ts.atom_populations[:, 0]
     t = ts.t_grid
+    if np.any(p < 0):
+        raise ValueError("population series has a negative entry")
     interior = np.arange(1, len(p) - 1)
     minima = interior[(p[interior] < p[interior - 1]) & (p[interior] <= p[interior + 1])
                       & (p[0] - p[interior] >= RABI_MIN_DEPTH * p[0])]
     if minima.size == 0:
         raise ValueError("no population minimum inside the time grid")
     i = int(minima[0])
-    # parabolic refinement on a (locally) uniform grid
-    denom = p[i - 1] - 2.0 * p[i] + p[i + 1]
-    if denom > 0:
-        shift = 0.5 * (p[i - 1] - p[i + 1]) / denom
-        dt = 0.5 * (t[i + 1] - t[i - 1])
-        t_min = t[i] + shift * dt
-    else:
-        t_min = t[i]
+    # parabolic refinement on a (locally) uniform grid; with p >= 0 the
+    # second difference at a minimum, p[i-1] > p[i] <= p[i+1], is > 0
+    shift = 0.5 * (p[i - 1] - p[i + 1]) / (p[i - 1] - 2.0 * p[i] + p[i + 1])
+    t_min = t[i] + shift * (0.5 * (t[i + 1] - t[i - 1]))
     if t_min <= 0:
         raise ValueError("population minimum at non-positive time")
     return math.pi / (2.0 * t_min)

@@ -25,8 +25,7 @@ import pytest
 from cls_reference import cls_vector
 from flatqed.boundstate import (bs_profile, bs_wavefunction,
                                 localization_length_fit,
-                                omega0_for_detuning, pole_residual,
-                                small_atom, solve_pole)
+                                omega0_for_detuning, small_atom)
 from flatqed.dynamics import evolve, fit_rabi_frequency
 from flatqed.errors import SingularF
 from flatqed.flatband import (cls_set, lambda_1d, lambda_2d,
@@ -330,5 +329,4 @@ def test_14_pole_residuals():
         ref = "lower_edge" if model.name == "chain" else "fb"
         om0 = omega0_for_detuning(model, delta, reference=ref)
         em = small_atom(model, om0, 1e-3, cell if len(cell) > 1 else cell[0], sub)
-        root = solve_pole(model, em)
-        assert pole_residual(model, em, root) < 1e-12 * model.J
+        assert bs_wavefunction(model, em).pole_residual < 1e-12 * model.J

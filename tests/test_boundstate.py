@@ -7,7 +7,7 @@ from flatqed import boundstate
 from flatqed.boundstate import (BoundStateResult, EmitterSpec, bs_profile,
                                 bs_wavefunction,
                                 localization_length_fit, omega0_for_detuning,
-                                pole_residual, small_atom, solve_pole)
+                                small_atom, solve_pole)
 from flatqed.dynamics import evolve
 from flatqed.errors import InsufficientData, NoRootInGap
 from flatqed.interactions import interaction_matrix
@@ -37,8 +37,7 @@ def test_single_cavity_exact_pole():
 def test_pole_residual_small(delta):
     model = build_sawtooth(60)
     em = small_atom(model, omega0_for_detuning(model, delta), 1e-3, 30, "a")
-    root = solve_pole(model, em)
-    assert pole_residual(model, em, root) < 1e-12 * model.J
+    assert bs_wavefunction(model, em).pole_residual < 1e-12 * model.J
 
 
 def test_no_root_in_subguard_gap():
@@ -65,9 +64,41 @@ def test_bound_state_above_spectrum():
     """omega0 above everything: the pole sits above the dispersive band."""
     model = build_sawtooth(30)
     em = small_atom(model, 5.0, 0.1, 15, "a")
-    root = solve_pole(model, em)
-    assert root > 4.0
-    assert pole_residual(model, em, root) < 1e-12
+    res = bs_wavefunction(model, em)
+    assert res.omega_bs > 4.0
+    assert res.pole_residual < 1e-12
+
+
+@pytest.mark.parametrize("n_cells", [60, 600], ids=["dense", "bloch"])
+@pytest.mark.parametrize("shift", [0.0, 1e-3], ids=["pole", "off-pole"])
+def test_pole_residual_is_the_self_energy_residual(n_cells, shift):
+    """The residual read off psi equals |F(omega)| from the self-energy
+    closure, at the solved pole and at a supplied energy beside it, on the
+    dense basis (120 sites) and on the Bloch basis (1200 sites)."""
+    from flatqed.greens import DENSE_MAX_SITES, self_energy
+
+    model = build_sawtooth(n_cells)
+    assert (model.n_sites > DENSE_MAX_SITES) == (n_cells == 600)
+    em = small_atom(model, omega0_for_detuning(model, 1e-2), 1e-2,
+                    n_cells // 2, "a")
+    omega = solve_pole(model, em) + shift
+    sigma, _ = self_energy(model, em.chi(model.n_sites))(omega)
+    F = abs(omega - em.omega0 - em.gbar ** 2 * float(sigma[0, 0].real))
+    res = bs_wavefunction(model, em, omega)
+    assert res.pole_residual == pytest.approx(F, rel=1e-12, abs=1e-15 * model.J)
+
+
+def test_giant_bound_state_reports_its_leading_order_residual():
+    """A CLS giant's bound state is taken at the bare omega0, where the
+    resolvent acts on chi as 1/(omega0 - omega_FB): the pole equation then
+    misses by gbar^2 / |omega0 - omega_FB|."""
+    from flatqed.giant import cls_emitter, giant_bound_state
+
+    model = build_stub(30)
+    em = cls_emitter(model, omega0_for_detuning(model, 0.05), 1e-2, 15)
+    res = giant_bound_state(model, em)
+    expected = em.gbar ** 2 / abs(em.omega0 - model.cls.omega_fb)
+    assert res.pole_residual == pytest.approx(expected, rel=1e-12)
 
 
 def test_wavefunction_eigenvector_of_total_h():

@@ -357,6 +357,61 @@ def test_bad_count_exit_2(argv, message, capsys):
     assert out == "" and message in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["giants", "--cls", "1x"], "ConfigError: bad cell syntax '1x'"),
+    (["giants"], "ConfigError: giants needs at least one --cls entry"),
+    (["interactions", "--site", "a:1"],
+     "ConfigError: interactions needs at least two --site entries"),
+    (["interactions", "--site", "a:1", "--site", "1x"],
+     "ConfigError: bad site syntax '1x'"),
+    (["boundstate", "--site", "a"], "ConfigError: bad site syntax 'a'"),
+    (["dynamics", "--site", "a:1:2", "--tmax", "1"],
+     "ConfigError: bad site syntax 'a:1:2'"),
+    (["loclen", "--site", "a1"], "ConfigError: bad site syntax 'a1'"),
+    (["loclen", "--site", "a:1", "--scan-delta", "1e-3:1e-1:cubic:3"],
+     "ConfigError: unknown scan spacing 'cubic'"),
+], ids=["giants-bad-cls", "giants-no-cls", "interactions-one-site",
+        "interactions-bad-site", "boundstate-bad-site", "dynamics-bad-site",
+        "loclen-bad-site", "loclen-bad-scan"])
+def test_malformed_flags_exit_2_before_any_spectrum(argv, message,
+                                                    monkeypatch, capsys):
+    """Site, cell and scan texts and the emitter counts are checked before
+    the 1000-site model is decomposed."""
+    def no_spectrum(model):
+        raise AssertionError("spectrum built before the flags were checked")
+
+    monkeypatch.setattr(greens, "eigensystem", no_spectrum)
+    code, out, err = run(argv[:1] + ["--model", "sawtooth", "--N", "500",
+                                     "--delta", "0.05"] + argv[1:], capsys)
+    assert code == 2
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--scan-delta", "1e-3:1e-1:log:3"], ["--delta", "0.5"]],
+    ids=["scan", "one-delta"])
+def test_loclen_rejects_omega0(flags, capsys):
+    """loclen scans the detuning: a fixed --omega0 would label every row
+    with a detuning it was not computed at."""
+    code, out, err = run(["loclen", "--model", "sawtooth", "--N", "40",
+                          "--site", "a:20", "--omega0", "-2.01"] + flags,
+                         capsys)
+    assert code == 2
+    assert out == "" and "ConfigError" in err and "--omega0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["xi", "--alpha", "0.2", "--max-dist", "2"],
+    ["boundstate", "--model", "sawtooth", "--N", "50", "--delta", "1e-2",
+     "--site", "a:25", "--format", "json"],
+], ids=["xi-csv", "boundstate-json"])
+def test_unwritable_out_exit_2(argv, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "x.out")
+    code, out, err = run(argv + ["--out", path], capsys)
+    assert code == 2
+    assert out == "" and f"ConfigError: cannot write output {path!r}" in err
+
+
 def test_disorder_without_seeds_is_an_empty_table(capsys):
     code, out, _e = run(["disorder", "--model", "stub", "--N", "8", "--kind",
                          "diagonal", "--strength", "0.1", "--seeds", "0"],
