@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,11 +32,15 @@ class EmitterSpec:
     """Transition frequency and coupling pattern of one emitter.
 
     ``couplings`` is a nonempty tuple of (flat site index, complex amplitude);
-    one entry makes a small atom, several make a giant atom.  Amplitudes on
-    a repeated site add up."""
+    one entry makes a small atom, several make a giant atom.  Each site must
+    be an integer >= 0 (a bool or a float is a ``ValueError``).  The
+    amplitudes of a repeated site are summed once, in coupling order, when
+    the emitter is made: ``couplings`` holds one entry per site, and every
+    reader (gbar, chi, the profile origin, K, the dynamics) sees that set."""
 
     omega0: float
     couplings: tuple[tuple[int, complex], ...]
+    gbar: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.couplings:
@@ -44,21 +48,21 @@ class EmitterSpec:
         if not (math.isfinite(self.omega0)
                 and all(cmath.isfinite(g) for _x, g in self.couplings)):
             raise ValueError("emitter omega0 and couplings must be finite")
+        merged: dict[int, complex] = {}
+        for x, g in self.couplings:
+            if (isinstance(x, bool) or not isinstance(x, (int, np.integer))
+                    or x < 0):
+                raise ValueError(f"coupling site {x!r} is not an integer >= 0")
+            merged[int(x)] = merged.get(int(x), 0) + g
+        object.__setattr__(self, "couplings", tuple(merged.items()))
         try:
-            finite = math.isfinite(self.gbar ** 2)
+            gbar = math.sqrt(sum(abs(g) ** 2 for g in merged.values()))
+            finite = math.isfinite(gbar ** 2)
         except OverflowError:
             finite = False
         if not finite:
             raise ValueError("emitter coupling strength gbar^2 overflows")
-
-    @property
-    def gbar(self) -> float:
-        """Norm of the coupling vector, the amplitudes of a repeated site
-        summed in coupling order."""
-        summed: dict[int, complex] = {}
-        for x, g in self.couplings:
-            summed[x] = summed.get(x, 0) + g
-        return math.sqrt(sum(abs(g) ** 2 for g in summed.values()))
+        object.__setattr__(self, "gbar", gbar)
 
     def chi(self, n_sites: int) -> np.ndarray:
         """Normalized site state |chi>, chi(x_l) = g_l / gbar.
@@ -67,9 +71,9 @@ class EmitterSpec:
         vector is returned so decoupled dynamics stays well defined."""
         chi = np.zeros(n_sites, dtype=complex)
         for x, g in self.couplings:
-            if not 0 <= x < n_sites:
+            if x >= n_sites:
                 raise ValueError(f"coupling site {x} outside lattice")
-            chi[x] += g
+            chi[x] = g
         return chi / self.gbar if self.gbar > 0 else chi
 
 
@@ -210,7 +214,8 @@ AMPLITUDE_FLOOR = 1e-13
 
 
 def _reference_cell(model: LatticeModel, emitter: EmitterSpec) -> tuple[int, ...]:
-    """Cell of the strongest coupling (the profile origin)."""
+    """Cell of the strongest coupling, repeated sites merged (the profile
+    origin)."""
     x, _g = max(emitter.couplings, key=lambda c: abs(c[1]))
     return np.unravel_index(x // model.Q, model.shape)
 

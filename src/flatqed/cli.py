@@ -25,7 +25,7 @@ from flatqed.flatband import cls_set, xi_analytic_1d, xi_numeric
 from flatqed.giant import cls_emitter, giant_interaction
 from flatqed.greens import eigenvalues
 from flatqed.interactions import InteractionMatrix, interaction_matrix
-from flatqed.lattice import (MODELS, DisorderSpec, LatticeModel,
+from flatqed.lattice import (_BUILDERS, MODELS, DisorderSpec, LatticeModel,
                              apply_disorder, model_from_spec)
 from flatqed.spectrum import band_structure, flat_band_width_real_space
 
@@ -83,7 +83,9 @@ def _model(args: argparse.Namespace) -> LatticeModel:
         shape = [int(p) for p in args.N.lower().split("x")]
     except ValueError as exc:
         raise ConfigError(f"bad lattice size {args.N!r}") from exc
-    params = {"Delta": args.Delta, "t": args.t, "omega_c": args.omega_c}
+    params = {k: getattr(args, k)
+              for _build, _dim, accepted in _BUILDERS.values()
+              for k in accepted}
     return model_from_spec({
         "model": args.model, "N": shape[0] if len(shape) == 1 else shape,
         "J": args.J,
@@ -290,12 +292,13 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--N", required=True,
                    help="number of unit cells, e.g. 100 or 40x40")
     p.add_argument("--J", type=float, default=1.0, help="hopping scale")
-    p.add_argument("--Delta", type=float, default=None,
-                   help="stub coupling ratio parameter")
-    p.add_argument("--omega-c", dest="omega_c", type=float, default=None,
-                   help="doublecomb cavity frequency")
-    p.add_argument("--t", type=float, default=None,
-                   help="doublecomb comb-to-chain coupling")
+    takers: dict[str, list[str]] = {}     # param -> the models taking it
+    for model, (_build, _dim, accepted) in _BUILDERS.items():
+        for name in accepted:
+            takers.setdefault(name, []).append(model)
+    for name, models in takers.items():
+        p.add_argument("--" + name.replace("_", "-"), type=float,
+                       default=None, help="parameter of " + ", ".join(models))
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
@@ -364,8 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_emitter_args(p)
     _add_output_args(p)
-    p.add_argument("--site", action="append", default=[], type=_parse_site,
-                   help="coupling site (repeatable)")
+    p.add_argument("--site", action="extend", nargs="+", default=[],
+                   type=_parse_site, help="coupling sites (repeatable)")
     p.add_argument("--exact-pole", dest="exact_pole", action="store_true")
     p.set_defaults(func=_cmd_interactions)
 
@@ -373,8 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_emitter_args(p)
     _add_output_args(p)
-    p.add_argument("--cls", action="append", default=[], type=_parse_cell,
-                   help="CLS cell, e.g. 10 or 10,12 (repeatable)")
+    p.add_argument("--cls", action="extend", nargs="+", default=[],
+                   type=_parse_cell,
+                   help="CLS cells, e.g. 10 or 10,12 (repeatable)")
     p.set_defaults(func=_cmd_giants)
 
     p = sub.add_parser("dynamics", help="exact single-excitation evolution")
@@ -427,8 +431,7 @@ def _apply_config_file(argv: Sequence[str]) -> list[str]:
             if value:
                 flags.append(flag)
         elif isinstance(value, list):
-            for v in value:
-                flags.extend([flag, str(v)])
+            flags.extend([flag] + [str(v) for v in value])
         else:
             flags.extend([flag, str(value)])
     # explicit flags after the config expansion win in argparse

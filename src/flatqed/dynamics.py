@@ -174,7 +174,9 @@ def _initial_state(initial: int | np.ndarray, n_index: int, dim: int,
     """The unit initial vector of length ``dim`` and the time grid as a
     float array.  ``initial`` is an index below ``n_index`` or a vector of
     length ``dim``, with a finite non-zero norm; the times must be a
-    one-dimensional array of finite values."""
+    one-dimensional array of finite values.  A bool is neither."""
+    if isinstance(initial, (bool, np.bool_)):
+        raise ValueError(f"initial state {initial!r} is a bool, not an index")
     if isinstance(initial, (int, np.integer)):
         if not 0 <= initial < n_index:
             raise ValueError(f"initial index {initial} outside range({n_index})")

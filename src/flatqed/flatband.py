@@ -73,9 +73,11 @@ def xi_numeric(alpha, delta_n, n_k: int = 4096) -> float:
     taken via |z| = e^{-mu} and expm1 so that rows with A -> |B| stay accurate.
 
     Raises :class:`SingularF` if f < 1e-14 anywhere on the grid, and
-    ``ValueError`` for more than two overlaps or a non-integral offset."""
-    if n_k < 1:
-        raise ValueError("n_k must be >= 1")
+    ``ValueError`` for more than two overlaps, a non-integral offset, or an
+    ``n_k`` that is not an integer >= 1 (a bool is not)."""
+    if (isinstance(n_k, bool) or not isinstance(n_k, (int, np.integer))
+            or n_k < 1):
+        raise ValueError(f"n_k must be >= 1 and an integer, got {n_k!r}")
     alphas = _alphas(alpha)
     if not 1 <= len(alphas) <= 2:
         raise ValueError("xi_numeric takes one or two CLS overlaps")

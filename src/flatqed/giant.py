@@ -129,12 +129,11 @@ def giant_interaction(model: LatticeModel,
     omega0 and |g|, as for :func:`~flatqed.interactions.interaction_matrix`.
     An omega0 within ``POLE_GUARD`` of omega_FB raises :class:`PoleProximity`,
     as the resolvent does."""
-    emitters, omega0, gbar = _common_emitters(model, emitters)
+    emitters, chis, omega0, gbar = _common_emitters(model, emitters)
     omega_fb = cls_set(model).omega_fb
     if abs(omega0 - omega_fb) < POLE_GUARD * model.J:
         raise PoleProximity(
             f"omega0 = {omega0} within {POLE_GUARD * model.J} of the flat band")
-    chis = np.column_stack([em.chi(model.n_sites) for em in emitters])
     _warn_if_outside_flat_band(model, chis)
     gram = chis.conj().T @ chis
     K = gbar ** 2 / (omega0 - omega_fb) * gram

@@ -25,8 +25,8 @@ bond list, gives every eigenpair and its exact zero modes (Lieb, PRL 62,
 1201 (1989); Inui, Trugman & Abrahams, PRB 49, 3190 (1994)).  Larger clean
 models use the Bloch basis (:func:`bloch_basis`): the Q x Q Bloch blocks on
 the commensurate k-grid, exactly ``lattice.bloch_hamiltonian`` at each k,
-solved at the lower index of each {k, -k} pair, in closed form for Q <= 2
-and by ``eigh`` for Q >= 3 (the solve ``spectrum.band_structure`` shares),
+solved at the lower index of each {k, -k} pair, in closed form for Q = 2
+and by ``eigh`` otherwise (the solve ``spectrum.band_structure`` shares),
 and reached from site space by FFTs over the cell axes, so no N x N matrix
 is ever formed (lattice Green's functions as Bloch sums; Economou, *Green's
 Functions in Quantum Physics*).  The dense eigensystem stays the oracle
@@ -266,7 +266,7 @@ def bloch_basis(model: LatticeModel) -> SpectralBasis:
     k-grid, cached per model like :func:`eigensystem` (an entry holds
     O(Q N) numbers, not N^2).  The blocks, ``bloch_hamiltonian`` on
     ``default_k_grid`` bit for bit, are solved by ``spectrum._bloch_eigh``
-    (the closed form for Q <= 2 and ``eigh`` for Q >= 3, over batches of
+    (the closed form for Q = 2 and ``eigh`` for any other Q, over batches of
     k-points) at the lower index of each {k, -k} pair, with
     u(-k) = u(k)* copied to the partner by one mirror of the grid when the
     hoppings are real, and at every k with a complex hopping.  At a

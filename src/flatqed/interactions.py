@@ -51,9 +51,11 @@ class SpinTrace:
 
 
 def _common_emitters(model: LatticeModel, emitters: Sequence[EmitterSpec]
-                     ) -> tuple[tuple[EmitterSpec, ...], float, float]:
-    """The emitters as a non-empty tuple, with their common omega0 and
-    |g|; raises ``ValueError`` when they differ."""
+                     ) -> tuple[tuple[EmitterSpec, ...], np.ndarray, float,
+                                float]:
+    """The emitters as a non-empty tuple, their site states as the columns
+    of one matrix, and their common omega0 and |g|; raises ``ValueError``
+    when omega0 or |g| differ."""
     emitters = tuple(emitters)
     if not emitters:
         raise ValueError("need at least one emitter")
@@ -64,7 +66,8 @@ def _common_emitters(model: LatticeModel, emitters: Sequence[EmitterSpec]
             raise ValueError("emitters require a common omega0")
         if abs(em.gbar - gbar) > 1e-12 * gbar:
             raise ValueError("emitters require identical |g|")
-    return emitters, omega0, gbar
+    chis = np.column_stack([em.chi(model.n_sites) for em in emitters])
+    return emitters, chis, omega0, gbar
 
 
 def interaction_matrix(model: LatticeModel, emitters: Sequence[EmitterSpec],
@@ -73,8 +76,7 @@ def interaction_matrix(model: LatticeModel, emitters: Sequence[EmitterSpec],
 
     By default psi_BS,j is evaluated at the bare frequency omega0 (leading
     order in g); ``exact_pole=True`` uses each emitter's solved pole instead."""
-    emitters, omega0, gbar = _common_emitters(model, emitters)
-    chis = np.column_stack([em.chi(model.n_sites) for em in emitters])
+    emitters, chis, omega0, gbar = _common_emitters(model, emitters)
     omegas = [solve_pole(model, em) if exact_pole else omega0
               for em in emitters]
     K = gbar ** 2 * self_energy(model, chis)(omegas)[0]

@@ -9,8 +9,8 @@ index, so each solved block is ``bloch_hamiltonian`` at that k bit for bit.
 With real hoppings H(-k) = H(k)*: one mirror of the grid axes, cell m to
 cell -m mod N, picks the lower index of each {k, -k} pair to solve and
 gives its partner the same energies and the conjugate vectors.  The solver
-is :func:`_block_eigh`: the closed form for Q <= 2, vectorized over a batch
-of k-points, and ``eigh`` for Q >= 3.
+is :func:`_block_eigh`: the closed form for Q = 2, vectorized over a batch
+of k-points, and ``eigh`` for any other Q.
 """
 
 from __future__ import annotations
@@ -70,25 +70,22 @@ def _block_eigh(H: np.ndarray, vectors: bool = False
 
     Returns w of shape (Q, n), ascending down each column, and V of shape
     (Q, Q, n), or ``None`` without ``vectors``, with H_k V_k = V_k diag(w_k).
-    Q = 1 is the diagonal.  Q = 2 is one Jacobi rotation in closed form,
+    Q = 2 is one Jacobi rotation in closed form,
     reading h_00, h_11 and b = h_01 = |b| u as contiguous (n,) arrays: with
     delta = h_11 - h_00, t = 2|b| sgn(delta)/(|delta| + hypot(delta, 2|b|))
     (nothing is squared) and c = 1/sqrt(1 + t^2), s = t c, the eigenpairs
     are h_00 - t|b| with (c, -s conj(u)) and h_11 + t|b| with (s u, c), put
-    in ascending order by one compare-and-swap.  Q >= 3 is ``eigh``, which
+    in ascending order by one compare-and-swap.  Other Q take ``eigh``, which
     also computes the vectors when only energies are asked for, so that w
     does not depend on ``vectors`` (``eigvalsh`` rounds differently).  A
     block with a non-finite entry raises ``np.linalg.LinAlgError``, as
     ``eigh`` does, before any arithmetic on it."""
-    n, Q = H.shape[0], H.shape[-1]
+    Q = H.shape[-1]
     if not np.isfinite(H).all():
         raise np.linalg.LinAlgError("non-finite entry in a Hermitian block")
-    if Q > 2:
+    if Q != 2:
         w, V = np.linalg.eigh(H)
         return w.T, V.transpose(1, 2, 0) if vectors else None
-    if Q == 1:
-        V = np.ones((1, 1, n), dtype=complex) if vectors else None
-        return H[:, 0, 0].real[None], V
     b = H[:, 0, 1]
     abs_b = np.abs(b)
     delta = H[:, 1, 1].real - H[:, 0, 0].real

@@ -222,6 +222,10 @@ def test_emitter_validation():
     em = EmitterSpec(omega0=0.0, couplings=((99, 1.0),))
     with pytest.raises(ValueError):
         em.chi(10)
+    # a bool indexes every site of chi, a float none; neither is a site
+    for site in (True, np.bool_(False), 1.5, 2.0, -1):
+        with pytest.raises(ValueError, match="not an integer >= 0"):
+            EmitterSpec(omega0=0.0, couplings=((site, 1.0),))
 
 
 @pytest.mark.parametrize("couplings", [((0, 1e300),),
@@ -244,6 +248,7 @@ def test_repeated_site_couplings_add_up():
     omega0 = omega0_for_detuning(model, 0.1, reference="lower_edge")
     split = [EmitterSpec(omega0, ((x, 10.0), (x, 10.0))) for x in (25, 28)]
     merged = [EmitterSpec(omega0, ((x, 20.0),)) for x in (25, 28)]
+    assert split[0] == merged[0]
     assert split[0].gbar == merged[0].gbar == 20.0
     assert np.array_equal(split[0].chi(50), merged[0].chi(50))
     pole = solve_pole(model, split[0])
@@ -257,6 +262,20 @@ def test_repeated_site_couplings_add_up():
     t = np.linspace(0.0, 2.0, 21)
     assert np.array_equal(evolve(model, split, 0, t).atom_populations,
                           evolve(model, merged, 0, t).atom_populations)
+
+
+def test_profile_origin_reads_merged_couplings():
+    """Two amplitudes on site 20 cancel, so the emitter couples only to
+    site 40 (cell 20) and is profiled from there; from cell 10, where it
+    has no coupling, |psi| would grow with the distance."""
+    model = build_sawtooth(40)
+    g = 1e-2
+    em = EmitterSpec(omega0_for_detuning(model, 0.05),
+                     ((20, g), (20, -g), (40, g / 10)))
+    assert em.couplings == ((20, 0.0), (40, g / 10))
+    assert boundstate._reference_cell(model, em) == (20,)
+    prof = bs_profile(bs_wavefunction(model, em), model, "a", d_max=4)
+    assert np.all(np.diff(prof) < 0)
 
 
 @pytest.mark.filterwarnings("error")

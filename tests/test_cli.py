@@ -468,13 +468,37 @@ def test_config_file_expansion(tmp_path, capsys):
     assert code == 0
     rows = list(csv.DictReader(out.splitlines()))
     assert len(rows) == 5
-    # a list value is a repeated flag
+    # a list value is one flag with all its values
     cfg.write_text(json.dumps({
         "command": "interactions", "model": "sawtooth", "N": 20,
         "delta": 0.01, "site": ["a:5", "a:7"]}))
     code, out, _e = run(["--config", str(cfg)], capsys)
     assert code == 0
     assert len(list(csv.DictReader(out.splitlines()))) == 4
+
+
+def test_config_list_fills_multi_value_flag(tmp_path, capsys):
+    """A config list fills --alpha with all its values, as the flag form
+    does; one --site with several values is the repeated flag; a list for a
+    single-valued --site is a usage error."""
+    flags = ["--dim", "2", "--max-dist", "2", "--nk", "64"]
+    code, want, _e = run(["xi", "--alpha", "0.2", "0.05"] + flags, capsys)
+    assert code == 0
+    assert want.splitlines()[1] == "0,1.0995643681322691"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"command": "xi", "alpha": [0.2, 0.05],
+                               "dim": 2, "max_dist": 2, "nk": 64}))
+    assert run(["--config", str(cfg)], capsys)[:2] == (0, want)
+    base = ["interactions", "--model", "sawtooth", "--N", "20",
+            "--delta", "0.01"]
+    one = run(base + ["--site", "a:5", "a:7"], capsys)
+    assert one[0] == 0
+    assert one == run(base + ["--site", "a:5", "--site", "a:7"], capsys)
+    cfg.write_text(json.dumps({"command": "boundstate", "model": "sawtooth",
+                               "N": 20, "delta": 0.01,
+                               "site": ["a:5", "a:7"]}))
+    code, out, _e = run(["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
 
 
 def test_bad_config_file(tmp_path, capsys):

@@ -121,6 +121,10 @@ def test_evolve_validates_initial():
                        (np.full(5, math.inf), "finite")):
         with pytest.raises(ValueError, match=match):
             evolve(model, [em], bad, np.array([0.0]))
+    # True is not emitter 1
+    pair = [em, small_atom(model, -2.1, 1e-2, 2, "a")]
+    with pytest.raises(ValueError, match="bool"):
+        evolve(model, pair, True, np.array([0.0]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -205,8 +205,11 @@ def test_non_integral_offset_is_rejected(call):
     (lambda: xi_analytic_1d(0.5, 1), "|alpha| < 1/2"),
     (lambda: xi_numeric((0.1, 0.1), (1,)), "offset dimension mismatch"),
     (lambda: xi_numeric(0.1, (1, 0)), "offset dimension mismatch"),
+    (lambda: xi_numeric(0.2, 1, n_k=10.5), "n_k must be >= 1"),
+    (lambda: xi_numeric(0.2, 1, n_k=True), "n_k must be >= 1"),
 ], ids=["lambda_1d-0", "lambda_1d-half", "lambda_2d-0", "lambda_2d-0.3",
-        "analytic_1d-half", "numeric_2d-1d-offset", "numeric_1d-2d-offset"])
+        "analytic_1d-half", "numeric_2d-1d-offset", "numeric_1d-2d-offset",
+        "numeric-float-n_k", "numeric-bool-n_k"])
 def test_argument_outside_the_domain_is_rejected(call, match):
     with pytest.raises(ValueError, match=re.escape(match)):
         call()

@@ -247,7 +247,9 @@ def test_lattice_spin_chain_follows_bessel_form():
     (np.zeros(3), "non-zero"),
     (np.array([1.0, math.nan, 0.0]), "finite"),
     (np.ones(2), "length 3"),
-], ids=["negative", "too-large", "zero-vector", "nan-vector", "short-vector"])
+    (True, "bool"),
+], ids=["negative", "too-large", "zero-vector", "nan-vector", "short-vector",
+        "bool"])
 def test_spin_dynamics_rejects_bad_initial(initial, match):
     with pytest.raises(ValueError, match=match):
         spin_dynamics(np.eye(3), initial, np.array([0.0, 1.0]))
